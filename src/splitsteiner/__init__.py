@@ -19,7 +19,7 @@ from .errors import (
 )
 from .generate import GeneratorConfig, gen_split
 from .graph import Graph, bfs_tree, is_connected
-from .matching import Matching, matching_size_at_most, maximum_matching
+from .matching import Matching, alpha_capped, maximum_matching
 from .oracle import OracleResult, brute_force_steiner, verify_solution
 from .solver import (
     PrunedInstance,
@@ -36,7 +36,6 @@ from .split import SplitPartition, split_partition
 from .sstp import SteinerInstance, parse_instance, serialize_instance
 from .structure import (
     LabeledGraph,
-    SplitView,
     StarWitness,
     build_labeled_graph,
     check_claw_free_characterization,
@@ -70,13 +69,13 @@ __all__ = [
     "SolveTrace",
     "SplitPartition",
     "SplitSteinerError",
-    "SplitView",
     "SstpParseError",
     "StarWitness",
     "SteinerInstance",
     "SteinerResult",
     "X3CInstance",
     "X3CParseError",
+    "alpha_capped",
     "bfs_tree",
     "brute_force_steiner",
     "build_labeled_graph",
@@ -87,7 +86,6 @@ __all__ = [
     "find_induced_star",
     "gen_split",
     "is_connected",
-    "matching_size_at_most",
     "maximum_matching",
     "parse_instance",
     "parse_x3c",

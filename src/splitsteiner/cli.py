@@ -1,10 +1,11 @@
 """Command-line surface: solve, check, oracle, reduce-x3c, gen, bench.
 
-Exit codes: 0 success, 1 I/O or parse or other errors, 2 input is not a
-split graph, 3 the graph has an induced K_(1,4) and no exact fallback
-was requested. All vertex ids in output are 1-based, matching the file
-formats; JSON is emitted single-line with sorted keys so identical
-inputs give byte-identical output.
+Exit codes: 0 success, 1 I/O or parse or other errors (an answer that
+fails verification among them), 2 input is not a split graph, 3 the
+graph has an induced K_(1,4) and no exact fallback was requested. All
+vertex ids in output are 1-based, matching the file formats; JSON is
+emitted single-line with sorted keys so identical inputs give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ def _emit(payload: dict) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.input))
     res = solve(inst, exact_fallback=args.exact_fallback)
-    verify_solution(inst, res.steiner_set)
+    if not verify_solution(inst, res.steiner_set):
+        raise SplitSteinerError("the Steiner set leaves the terminals disconnected")
     payload = {
         "size": len(res.steiner_set),
         "steiner_set": [v + 1 for v in res.steiner_set],
@@ -178,12 +180,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         records = [_bench_one(job) for job in jobs]
     records.sort(key=lambda r: r["file"])
-    failed = False
     for rec in records:
         if args.no_times:
             rec.pop("time_ms", None)
-        if "error" in rec:
-            failed = True
         print(json.dumps(rec, sort_keys=True))
     summary = {
         "files": len(records),
@@ -193,7 +192,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         summary["total_time_ms"] = round(
             sum(r.get("time_ms", 0.0) for r in records), 3)
     print(json.dumps(summary, sort_keys=True))
-    return 1 if failed else 0
+    # error records carry no "verified" field, so they fail the summary too
+    return 0 if summary["verified"] else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

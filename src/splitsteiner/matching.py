@@ -6,9 +6,9 @@ The implementation therefore runs one augmenting-path search per
 connected component after a greedy warm start, so isolated vertices and
 already-saturated components cost nothing.
 
-matching_size_at_most answers the only question the 3-split solver ever
-asks about a matching — "is alpha 0, 1, 2, or more?" — without paying
-for a full maximum matching when a greedy one already exceeds the cap.
+alpha_capped answers the only question the 3-split solver asks while it
+probes V_3 centers, "is alpha 0, 1, or at least 2?", straight from an
+edge list, without building a graph.
 """
 
 from __future__ import annotations
@@ -157,25 +157,27 @@ def maximum_matching(g: Graph) -> Matching:
     return Matching(edges=tuple(sorted(out)))
 
 
-def matching_size_at_most(g: Graph, k: int) -> int:
-    """min(alpha(g), k + 1) for small k.
-
-    A greedy maximal matching is at most alpha, so once it exceeds k the
-    answer is capped without running the full algorithm. Requires k <= 3.
-    """
-    if k > 3:
-        raise ValueError("matching_size_at_most supports k <= 3 only")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    matched: set[int] = set()
-    size = 0
-    for u, v in g.edges():
-        if u not in matched and v not in matched:
-            matched.add(u)
-            matched.add(v)
-            size += 1
-            if size > k:
-                return k + 1
-    if size == 0:
+def alpha_capped(edges: list[tuple[int, int]]) -> int:
+    """min(maximum matching size, 2) of the given edges; repeated edges
+    are allowed."""
+    if not edges:
         return 0
-    return min(maximum_matching(g).size, k + 1)
+    a, b = edges[0]
+    pa: set[int] = set()
+    pb: set[int] = set()
+    for x, y in edges[1:]:
+        if x != a and x != b and y != a and y != b:
+            return 2  # disjoint from the first edge
+        if a in (x, y):
+            other = y if x == a else x
+            if other != b:
+                pa.add(other)
+        if b in (x, y):
+            other = y if x == b else x
+            if other != a:
+                pb.add(other)
+    # every edge meets {a, b}: a second matched edge needs one edge off
+    # each endpoint, with distinct far ends
+    if pa and pb and (len(pa) > 1 or len(pb) > 1 or pa != pb):
+        return 2
+    return 1

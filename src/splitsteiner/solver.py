@@ -25,13 +25,11 @@ from dataclasses import dataclass
 
 from .errors import NotK14FreeError
 from .graph import Graph, bfs_tree
-from .matching import maximum_matching
+from .matching import alpha_capped, maximum_matching
 from .oracle import brute_force_steiner
 from .split import SplitPartition, split_partition
 from .sstp import SteinerInstance
 from .structure import (
-    LabeledGraph,
-    SplitView,
     build_labeled_graph,
     check_claw_free_characterization,
     check_k14_free_3split,
@@ -40,9 +38,6 @@ from .structure import (
     find_induced_star,
     restrict_view,
 )
-
-REGIMES = ("empty", "1-split", "2-split", "3-split", "claw-free", "exact-fallback")
-
 
 @dataclass(frozen=True)
 class SolveTrace:
@@ -59,7 +54,7 @@ class PrunedInstance:
     """Reduced instance: every surviving I-vertex is a terminal and no
     surviving clique vertex is one."""
 
-    view: SplitView
+    view: SplitPartition
     terminals: tuple[int, ...]
     removed_s1: tuple[int, ...]
     removed_s2: tuple[int, ...]
@@ -137,25 +132,11 @@ def prune(inst: SteinerInstance, sp: SplitPartition) -> PrunedInstance:
                           clique_terminal_anchor=anchor)
 
 
-def _labeled_edges_without(view: SplitView,
-                           banned: set[int]) -> tuple[tuple[int, int, int], ...]:
-    """Labeled edges of the view with the banned I-vertices removed,
-    without materializing the restricted view."""
-    chosen: dict[tuple[int, int], int] = {}
-    for v in view.clique:
-        xs = [x for x in view.indep_neighbors(v) if x not in banned]
-        if len(xs) == 2:
-            pair = (xs[0], xs[1])
-            if pair not in chosen:
-                chosen[pair] = v
-    return tuple(sorted((a, b, lab) for (a, b), lab in chosen.items()))
-
-
 def _edge_graph(n: int, labeled: tuple[tuple[int, int, int], ...]) -> Graph:
     return Graph.from_edges(n, [(a, b) for a, b, _ in labeled])
 
 
-def _covered_by(view: SplitView, chosen: set[int]) -> set[int]:
+def _covered_by(view: SplitPartition, chosen: set[int]) -> set[int]:
     out: set[int] = set()
     for v in chosen:
         out.update(view.indep_neighbors(v))
@@ -177,31 +158,6 @@ def _survivor_pairs(v3_triples: list[tuple[int, tuple[int, ...]]],
         if len(rest) == 2:
             out.append((rest[0], rest[1]))
     return out
-
-
-def _alpha_capped(pairs: list[tuple[int, int]]) -> int:
-    """min(maximum matching size, 2) of the given edges."""
-    if not pairs:
-        return 0
-    a, b = pairs[0]
-    pa: set[int] = set()
-    pb: set[int] = set()
-    for x, y in pairs[1:]:
-        if x != a and x != b and y != a and y != b:
-            return 2  # disjoint from the first edge
-        if a in (x, y):
-            other = y if x == a else x
-            if other != b:
-                pa.add(other)
-        if b in (x, y):
-            other = y if x == b else x
-            if other != a:
-                pb.add(other)
-    # every edge meets {a, b}: a second matched edge needs one edge off
-    # each endpoint, with distinct far ends
-    if pa and pb and (len(pa) > 1 or len(pb) > 1 or pa != pb):
-        return 2
-    return 1
 
 
 def solve_1split(pi: PrunedInstance) -> tuple[int, ...]:
@@ -231,7 +187,7 @@ def solve_claw_free(pi: PrunedInstance) -> tuple[int, ...]:
     return tuple(sorted(s))
 
 
-def _solve_2split_impl(view: SplitView) -> tuple[tuple[int, ...], int]:
+def _solve_2split_impl(view: SplitPartition) -> tuple[tuple[int, ...], int]:
     lg = build_labeled_graph(view)
     p = maximum_matching(_edge_graph(view.graph.n, lg.labeled_edges))
     s1 = set(corresponding_vertex_set(lg, p.edges))
@@ -253,7 +209,7 @@ def solve_2split(pi: PrunedInstance) -> tuple[int, ...]:
 
 
 def _solve_3split_impl(
-        view: SplitView) -> tuple[tuple[int, ...], int, int | None, int | None]:
+        view: SplitPartition) -> tuple[tuple[int, ...], int, int | None, int | None]:
     """Returns (S, alpha_m, alpha_m2, chosen_v3_vertex)."""
     if view.delta_i != 3:
         raise ValueError(f"solve_3split needs delta_i == 3, got {view.delta_i}")
@@ -267,7 +223,7 @@ def _solve_3split_impl(
     v3_triples = [(v, view.indep_neighbors(v)) for v in view.v3]
     for v in view.v3:  # ascending; strict improvement keeps the smallest id
         banned = set(view.indep_neighbors(v))
-        alpha = _alpha_capped(_survivor_pairs(v3_triples, v, banned))
+        alpha = alpha_capped(_survivor_pairs(v3_triples, v, banned))
         if alpha > best_alpha:
             best_alpha, best_v = alpha, v
             if best_alpha == 2:  # alpha(M) caps at 2; no center can beat it
@@ -276,12 +232,11 @@ def _solve_3split_impl(
     chosen: int | None
     if best_alpha >= 1:
         assert best_v is not None
-        banned = set(view.indep_neighbors(best_v))
-        labeled = _labeled_edges_without(view, banned)
-        lg = LabeledGraph(
-            vertices=tuple(x for x in view.independent if x not in banned),
-            labeled_edges=labeled)
-        p1 = maximum_matching(_edge_graph(n, labeled))
+        # K_{1,4}-freeness leaves every clique vertex at most two
+        # independent neighbors once those of best_v are dropped
+        lg = build_labeled_graph(
+            restrict_view(view, drop_indep=view.indep_neighbors(best_v)))
+        p1 = maximum_matching(_edge_graph(n, lg.labeled_edges))
         assert p1.size == best_alpha
         s1 = {best_v} | set(corresponding_vertex_set(lg, p1.edges))
         chosen = best_v

@@ -26,10 +26,13 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class SplitPartition:
-    """A (clique, independent) vertex partition with a maximal clique.
+    """A (clique, independent) split of a graph's vertices.
 
+    The clique side is maximal when split_partition returns the
+    partition; the reduced views of structure.restrict_view need not be.
     delta_i is the maximum number of independent-set neighbors over clique
-    vertices; v3 lists the clique vertices with exactly three.
+    vertices; v3 lists the clique vertices with exactly three. Vertex ids
+    are host-graph ids throughout.
     """
 
     graph: Graph = field(repr=False, compare=False)
@@ -38,6 +41,17 @@ class SplitPartition:
     delta_i: int
     v3: tuple[int, ...]
     _n_i: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
+
+    @classmethod
+    def from_neighbor_map(cls, graph: Graph, clique: tuple[int, ...],
+                          independent: tuple[int, ...],
+                          n_i: dict[int, tuple[int, ...]]) -> "SplitPartition":
+        """Partition whose delta_i and v3 are read off n_i, which maps
+        each clique vertex with independent neighbors to them, sorted."""
+        delta_i = max((len(xs) for xs in n_i.values()), default=0)
+        v3 = tuple(sorted(v for v, xs in n_i.items() if len(xs) == 3))
+        return cls(graph=graph, clique=clique, independent=independent,
+                   delta_i=delta_i, v3=v3, _n_i=n_i)
 
     def indep_neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted independent-set neighbors of clique vertex v."""
@@ -50,18 +64,14 @@ class SplitPartition:
 def _partition_from_clique(g: Graph, clique: list[int]) -> SplitPartition:
     cset = set(clique)
     independent = [v for v in range(g.n) if v not in cset]
-    n_i: dict[int, tuple[int, ...]] = {}
     buckets: dict[int, list[int]] = {}
     for x in independent:
         for w in g.neighbors(x):
             buckets.setdefault(int(w), []).append(x)
-    for v, xs in buckets.items():
-        n_i[v] = tuple(xs)  # xs ascending: outer loop runs in ascending x
-    delta_i = max((len(xs) for xs in n_i.values()), default=0)
-    v3 = tuple(sorted(v for v, xs in n_i.items() if len(xs) == 3))
-    return SplitPartition(graph=g, clique=tuple(sorted(clique)),
-                          independent=tuple(independent), delta_i=delta_i,
-                          v3=v3, _n_i=n_i)
+    # xs ascending: the outer loop runs in ascending x
+    n_i = {v: tuple(xs) for v, xs in buckets.items()}
+    return SplitPartition.from_neighbor_map(g, tuple(sorted(clique)),
+                                            tuple(independent), n_i)
 
 
 def _validate_candidate(g: Graph, clique: list[int]) -> bool:

@@ -73,6 +73,11 @@ def parse_instance(text: str) -> SteinerInstance:
             t = _int(parts[4], lineno, "terminal count")
             if n < 0 or m < 0 or t < 0:
                 raise SstpParseError("negative count in header", lineno)
+            if m < n - 1:
+                # reject before allocating anything of size n
+                raise SstpParseError(
+                    f"graph is not connected: {m} edges cannot connect "
+                    f"{n} vertices", lineno)
         elif tag == "e":
             if n is None:
                 raise SstpParseError("edge before header", lineno)
@@ -113,9 +118,10 @@ def parse_instance(text: str) -> SteinerInstance:
     if len(terminals) != t:
         raise SstpParseError(f"header promises {t} terminals, found {len(terminals)}")
     graph = Graph.from_edges(n, edges)
-    if not is_connected(graph):
-        raise SstpParseError("graph is not connected")
-    return SteinerInstance(graph=graph, terminals=tuple(terminals))
+    try:
+        return SteinerInstance(graph=graph, terminals=tuple(terminals))
+    except ValueError as exc:  # terminals were checked above: not connected
+        raise SstpParseError(str(exc)) from exc
 
 
 def serialize_instance(inst: SteinerInstance) -> str:

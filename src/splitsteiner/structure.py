@@ -20,7 +20,7 @@ back to Steiner vertices via the corresponding vertex/clique sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterable
 
 import numpy as np
@@ -37,41 +37,9 @@ class StarWitness:
     leaves: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SplitView:
-    """A (clique, independent) labeled induced subgraph of a host graph.
-
-    Used for the reduced graphs the solvers work on; unlike
-    SplitPartition, the clique side is not required to be maximal within
-    the view. Vertex ids are host-graph ids throughout.
-    """
-
-    graph: Graph = field(repr=False, compare=False)
-    clique: tuple[int, ...]
-    independent: tuple[int, ...]
-    delta_i: int
-    v3: tuple[int, ...]
-    _n_i: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
-
-    def indep_neighbors(self, v: int) -> tuple[int, ...]:
-        return self._n_i.get(v, ())
-
-    def indep_degree(self, v: int) -> int:
-        return len(self._n_i.get(v, ()))
-
-
-def as_view(sp: SplitPartition | SplitView) -> SplitView:
-    if isinstance(sp, SplitView):
-        return sp
-    n_i = {v: sp.indep_neighbors(v) for v in sp.clique if sp.indep_neighbors(v)}
-    return SplitView(graph=sp.graph, clique=sp.clique,
-                     independent=sp.independent, delta_i=sp.delta_i,
-                     v3=sp.v3, _n_i=n_i)
-
-
-def restrict_view(src: SplitPartition | SplitView,
+def restrict_view(src: SplitPartition,
                   drop_clique: Iterable[int] = (),
-                  drop_indep: Iterable[int] = ()) -> SplitView:
+                  drop_indep: Iterable[int] = ()) -> SplitPartition:
     """View of src with the given clique/independent vertices removed."""
     dc = set(drop_clique)
     di = set(drop_indep)
@@ -84,10 +52,7 @@ def restrict_view(src: SplitPartition | SplitView,
             xs = tuple(x for x in xs if x not in di)
         if xs:
             n_i[v] = xs
-    delta_i = max((len(xs) for xs in n_i.values()), default=0)
-    v3 = tuple(sorted(v for v, xs in n_i.items() if len(xs) == 3))
-    return SplitView(graph=src.graph, clique=clique, independent=independent,
-                     delta_i=delta_i, v3=v3, _n_i=n_i)
+    return SplitPartition.from_neighbor_map(src.graph, clique, independent, n_i)
 
 
 def _coverage_gap(g: Graph, clique_arr: np.ndarray,
@@ -103,7 +68,7 @@ def _coverage_gap(g: Graph, clique_arr: np.ndarray,
     return int(clique_arr[int(np.argmin(vals))])
 
 
-def find_induced_star(sp: SplitPartition | SplitView, r: int) -> StarWitness | None:
+def find_induced_star(sp: SplitPartition, r: int) -> StarWitness | None:
     """First induced K_{1,r} witness (ascending center id), or None.
 
     Requires r >= 3. Within a center, leaves all in the independent set
@@ -130,7 +95,7 @@ def find_induced_star(sp: SplitPartition | SplitView, r: int) -> StarWitness | N
     return None
 
 
-def check_claw_free_characterization(sp: SplitPartition | SplitView) -> bool:
+def check_claw_free_characterization(sp: SplitPartition) -> bool:
     """Claw-freeness test for a connected split graph.
 
     True iff delta_i <= 1, or delta_i == 2 and every clique vertex with
@@ -154,7 +119,7 @@ def check_claw_free_characterization(sp: SplitPartition | SplitView) -> bool:
     return True
 
 
-def check_k14_free_3split(sp: SplitPartition | SplitView) -> bool:
+def check_k14_free_3split(sp: SplitPartition) -> bool:
     """K_{1,4}-freeness of a 3-split graph.
 
     True iff every clique vertex with three independent neighbors shares
@@ -186,7 +151,7 @@ class LabeledGraph:
     labeled_edges: tuple[tuple[int, int, int], ...]
 
 
-def build_labeled_graph(sp: SplitPartition | SplitView) -> LabeledGraph:
+def build_labeled_graph(sp: SplitPartition) -> LabeledGraph:
     """Labeled graph of a view whose clique vertices have at most two
     independent neighbors each. Raises ValueError above that bound,
     because edge labels would stop being well defined."""
@@ -227,7 +192,7 @@ def corresponding_vertex_set(m: LabeledGraph,
     return tuple(sorted(set(out)))
 
 
-def corresponding_clique_set(sp: SplitPartition | SplitView,
+def corresponding_clique_set(sp: SplitPartition,
                              vertices: Iterable[int]) -> tuple[int, ...]:
     """Smallest clique neighbor of each given independent vertex,
     deduplicated and sorted. Raises ValueError when a vertex has no

@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 import splitsteiner
-from splitsteiner import Graph, SteinerInstance, serialize_instance
+from splitsteiner import (
+    Graph,
+    SolveTrace,
+    SteinerInstance,
+    SteinerResult,
+    serialize_instance,
+)
 from splitsteiner.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -67,9 +73,37 @@ def test_solve_missing_file(tmp_path, capsys):
 
 
 def test_solve_parse_error(tmp_path, capsys):
-    path = _write(tmp_path, "bad.sstp", "p sstp 2 1 0\ne 1 5\n")
-    assert main(["solve", "--input", path]) == 1
-    assert "error:" in capsys.readouterr().err
+    for text, why in (("p sstp 2 1 0\ne 1 5\n", "out of range"),
+                      ("p sstp 1000000 0 0\n", "not connected")):
+        path = _write(tmp_path, "bad.sstp", text)
+        assert main(["solve", "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and why in err
+
+
+def _disconnecting_solve(inst, **kwargs):
+    """A wrong answer: the empty Steiner set for P3 with both ends as
+    terminals."""
+    return SteinerResult((), (), SolveTrace(regime="1-split"))
+
+
+def test_solve_rejects_unverified_answer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("splitsteiner.cli.solve", _disconnecting_solve)
+    path = _write(tmp_path, "p3.sstp", P3)
+    assert main(["solve", "--input", path, "--json"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and "disconnected" in out.err
+
+
+def test_bench_fails_on_unverified_answer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("splitsteiner.cli.solve", _disconnecting_solve)
+    _write(tmp_path, "p3.sstp", P3)
+    assert main(["bench", "--dir", str(tmp_path), "--no-times",
+                 "--workers", "1"]) == 1
+    lines = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
+    assert lines[0]["verified"] is False
+    assert lines[-1] == {"files": 1, "verified": False}
 
 
 def test_solve_not_split(tmp_path, capsys):

@@ -3,7 +3,16 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitsteiner import Graph, matching_size_at_most, maximum_matching
+from splitsteiner import (
+    GeneratorConfig,
+    Graph,
+    alpha_capped,
+    build_labeled_graph,
+    gen_split,
+    maximum_matching,
+    restrict_view,
+    split_partition,
+)
 from helpers import brute_matching
 
 
@@ -79,10 +88,10 @@ def test_deterministic():
 
 
 @st.composite
-def small_graphs(draw):
+def small_graphs(draw, unique=True):
     n = draw(st.integers(min_value=0, max_value=10))
     pairs = list(combinations(range(n), 2))
-    picks = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20)
+    picks = draw(st.lists(st.sampled_from(pairs), unique=unique, max_size=20)
                  if pairs else st.just([]))
     return n, picks
 
@@ -97,24 +106,60 @@ def test_matches_bruteforce(data):
     assert m.size == brute_matching(n, edges)
 
 
-@given(small_graphs(), st.integers(min_value=0, max_value=3))
-@settings(max_examples=200, deadline=None)
-def test_capped_size(data, k):
+@given(small_graphs(unique=False))
+@settings(max_examples=300, deadline=None)
+def test_capped_size(data):
+    # the 3-split probe's survivor pairs can repeat an edge
     n, edges = data
-    g = Graph.from_edges(n, edges)
-    assert matching_size_at_most(g, k) == min(brute_matching(n, edges), k + 1)
+    assert alpha_capped(edges) == min(brute_matching(n, edges), 2)
 
 
-def test_capped_size_rejects_bad_k():
-    g = path(3)
-    with pytest.raises(ValueError, match="k <= 3"):
-        matching_size_at_most(g, 4)
-    with pytest.raises(ValueError, match="non-negative"):
-        matching_size_at_most(g, -1)
+def _networkx_size(n, edges):
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    return len(nx.max_weight_matching(g, maxcardinality=True))
 
 
-def test_cap_short_circuits_large_graph():
-    # 40 disjoint edges; the cap must not require a full matching
-    g = Graph.from_edges(80, [(2 * i, 2 * i + 1) for i in range(40)])
-    assert matching_size_at_most(g, 2) == 3
-    assert maximum_matching(g).size == 40
+@given(small_graphs())
+@settings(max_examples=200, deadline=None)
+def test_matches_networkx(data):
+    n, edges = data
+    assert maximum_matching(Graph.from_edges(n, edges)).size == \
+        _networkx_size(n, edges)
+
+
+def _generator_labeled_graphs():
+    """Labeled graphs the solvers match on, over level-2 and K_(1,4)-free
+    level-3 generator instances: the whole partition at level 2; at
+    level 3, the view without each V_3 center's neighborhood and the view
+    without V_3."""
+    for level, sizes in ((2, ((4, 6), (5, 8), (6, 6), (10, 15), (16, 30))),
+                         (3, ((6, 4), (3, 5), (4, 7), (6, 8), (5, 6), (7, 7),
+                              (8, 9), (9, 10), (10, 12)))):
+        for a, b in sizes:
+            for seed in range(8):
+                cfg = GeneratorConfig(clique_size=a, independent_size=b,
+                                      level=level, k14_free=level == 3,
+                                      seed=seed)
+                g = gen_split(cfg).graph
+                sp = split_partition(g)
+                if level == 2:
+                    views = [sp]
+                else:
+                    views = [restrict_view(sp, drop_indep=sp.indep_neighbors(x))
+                             for x in sp.v3]
+                    views.append(restrict_view(sp, drop_clique=sp.v3))
+                for view in views:
+                    lg = build_labeled_graph(view)
+                    yield g.n, [(u, v) for u, v, _ in lg.labeled_edges]
+
+
+def test_generator_labeled_graphs_match_networkx():
+    sizes = set()
+    for n, edges in _generator_labeled_graphs():
+        m = maximum_matching(Graph.from_edges(n, edges))
+        assert m.size == _networkx_size(n, edges)
+        sizes.add(m.size)
+    assert max(sizes) >= 4  # not only the capped 3-split matchings

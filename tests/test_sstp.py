@@ -66,8 +66,20 @@ def test_count_mismatches():
 
 
 def test_disconnected_rejected():
-    with pytest.raises(SstpParseError, match="not connected"):
-        parse_instance("p sstp 4 2 0\ne 1 2\ne 3 4\n")
+    for text in ("p sstp 4 2 0\ne 1 2\ne 3 4\n",  # too few edges
+                 "p sstp 5 4 0\ne 1 2\ne 2 3\ne 1 3\ne 4 5\n"):  # triangle + edge
+        with pytest.raises(SstpParseError, match="not connected"):
+            parse_instance(text)
+
+
+def test_too_few_edges_rejected_at_header(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("Graph.from_edges called")
+
+    monkeypatch.setattr(Graph, "from_edges", no_build)
+    with pytest.raises(SstpParseError, match="not connected") as exc:
+        parse_instance("# big\np sstp 1000000 0 0\n")
+    assert exc.value.line == 2
 
 
 def test_instance_validates_terminals():
