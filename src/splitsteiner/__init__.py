@@ -10,6 +10,7 @@ of the boundary.
 
 from .errors import (
     GeneratorError,
+    InvariantError,
     NotK14FreeError,
     NotSplitError,
     OracleBudgetError,
@@ -59,6 +60,7 @@ __all__ = [
     "GeneratorConfig",
     "GeneratorError",
     "Graph",
+    "InvariantError",
     "LabeledGraph",
     "Matching",
     "NotK14FreeError",

@@ -1,17 +1,18 @@
 """Command-line surface: solve, check, oracle, reduce-x3c, gen, bench.
 
 Exit codes: 0 success, 1 I/O or parse or other errors (an answer that
-fails verification among them), 2 input is not a split graph, 3 the
-graph has an induced K_(1,4) and no exact fallback was requested. All
-vertex ids in output are 1-based, matching the file formats; JSON is
-emitted single-line with sorted keys so identical inputs give
-byte-identical output.
+fails verification, a failed solver invariant and running out of memory
+among them), 2 input is not a split graph, 3 the graph has an induced
+K_(1,4) and no exact fallback was requested. All vertex ids in output
+are 1-based, matching the file formats; JSON is emitted single-line
+with sorted keys so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,8 +41,10 @@ def _emit(payload: dict) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.input))
     res = solve(inst, exact_fallback=args.exact_fallback)
-    if not verify_solution(inst, res.steiner_set):
-        raise SplitSteinerError("the Steiner set leaves the terminals disconnected")
+    if not verify_solution(inst, res.steiner_set, res.tree_edges):
+        raise SplitSteinerError(
+            "the solution tree does not span the Steiner set and the terminals: "
+            "disconnected or invalid answer")
     payload = {
         "size": len(res.steiner_set),
         "steiner_set": [v + 1 for v in res.steiner_set],
@@ -156,7 +159,7 @@ def _bench_one(job: tuple[str, int, bool]) -> dict:
             res = solve(inst, exact_fallback=exact_fallback)
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
-        verified = verify_solution(inst, res.steiner_set)
+        verified = verify_solution(inst, res.steiner_set, res.tree_edges)
         return {
             "file": name,
             "n": inst.graph.n,
@@ -174,8 +177,9 @@ def _bench_one(job: tuple[str, int, bool]) -> dict:
 def cmd_bench(args: argparse.Namespace) -> int:
     paths = sorted(Path(args.dir).glob("*.sstp"))
     jobs = [(str(p), args.repeat, args.exact_fallback) for p in paths]
-    if args.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_bench_one, jobs))
     else:
         records = [_bench_one(job) for job in jobs]
@@ -244,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--repeat", type=int, default=1,
                    help="solve attempts per file; fastest time is reported")
     s.add_argument("--workers", type=int, default=1,
-                   help="parallel solver processes")
+                   help="parallel solver processes (at most one per file and per CPU)")
     s.add_argument("--exact-fallback", action="store_true")
     s.add_argument("--no-times", action="store_true",
                    help="omit timing fields for byte-stable output")
@@ -267,4 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1

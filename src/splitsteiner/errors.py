@@ -59,5 +59,11 @@ class OracleBudgetError(SplitSteinerError):
     """Brute-force enumeration exceeded its subset budget."""
 
 
+class InvariantError(SplitSteinerError):
+    """A solver invariant failed: a size bound or a disjointness the
+    paper's algorithms guarantee. Raised explicitly, so that it also
+    holds under python -O, which strips assert statements."""
+
+
 class GeneratorError(SplitSteinerError):
     """Generator configuration is infeasible or sampling gave up."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -28,43 +29,43 @@ class Graph:
         self._indices = indices
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge list, validating simplicity.
+    def from_edges(cls, n: int,
+                   edges: np.ndarray | Iterable[tuple[int, int]]) -> "Graph":
+        """Build a graph from an (m, 2) integer array or an iterable of
+        pairs, validating simplicity.
 
         Raises ValueError on out-of-range endpoints, self-loops and
-        duplicate edges (either orientation).
+        duplicate edges (either orientation), reporting the first
+        offending pair in input order (duplicates: the smallest pair).
         """
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        us: list[int] = []
-        vs: list[int] = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
+        try:
+            pairs = _as_pairs(edges)
+        except OverflowError as exc:
+            raise ValueError(f"edge endpoint out of range for n={n}") from exc
+        src, dst = pairs[:, 0], pairs[:, 1]
+        bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+                             | (src == dst))
+        if bad.size:
+            u, v = int(src[bad[0]]), int(dst[bad[0]])
+            if u == v and 0 <= u < n:
                 raise ValueError(f"self-loop at vertex {u}")
-            us.append(u)
-            vs.append(v)
-        m = len(us)
-        src = np.fromiter(us, dtype=np.int64, count=m)
-        dst = np.fromiter(vs, dtype=np.int64, count=m)
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        if m:
-            keys = lo * n + hi
-            keys.sort()
-            if np.any(keys[1:] == keys[:-1]):
-                pos = int(np.flatnonzero(keys[1:] == keys[:-1])[0])
-                k = int(keys[pos])
-                raise ValueError(f"duplicate edge ({k // n}, {k % n})")
-        both_src = np.concatenate([lo, hi])
-        both_dst = np.concatenate([hi, lo])
-        order = np.lexsort((both_dst, both_src))
-        indices = both_dst[order].astype(np.int32)
-        counts = np.bincount(both_src, minlength=n)
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        # one sorted key per orientation: row-major order is CSR order,
+        # and a repeated edge shows up as two equal neighbouring keys
+        keys = np.concatenate([src * n + dst, dst * n + src])
+        del pairs, src, dst
+        keys.sort()
+        same = np.flatnonzero(keys[1:] == keys[:-1])
+        if same.size:
+            u, v = divmod(int(keys[same[0]]), n)
+            raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(n, indptr, indices)
+        if n:
+            np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+            keys %= n
+        return cls(n, indptr, keys.astype(np.int32))
 
     @classmethod
     def from_csr(cls, n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
@@ -120,6 +121,25 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _as_pairs(edges: np.ndarray | Iterable[tuple[int, int]]) -> np.ndarray:
+    """Edges as an (m, 2) int64 array; ValueError unless each is a pair."""
+    if isinstance(edges, np.ndarray):
+        pairs = edges.astype(np.int64, copy=False)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+    else:
+        # flattening the pairs in C is several times faster than
+        # np.array on a list of tuples
+        listed = list(edges)
+        if listed and set(map(len, listed)) != {2}:
+            raise ValueError("edges must be (u, v) pairs")
+        pairs = np.fromiter(chain.from_iterable(listed), dtype=np.int64,
+                            count=2 * len(listed)).reshape(-1, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    return pairs
 
 
 def _bfs(g: Graph, subset: Iterable[int]) -> tuple[list[tuple[int, int]], int, int]:

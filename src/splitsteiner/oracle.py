@@ -14,6 +14,7 @@ not to assume it — the test corpus runs both universes and compares.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -108,14 +109,47 @@ def brute_force_steiner(inst: SteinerInstance, universe: str = "clique-only",
     raise SplitSteinerError("no feasible Steiner set found")
 
 
-def verify_solution(inst: SteinerInstance, s: set[int] | tuple[int, ...]) -> bool:
+def verify_solution(inst: SteinerInstance, s: set[int] | tuple[int, ...],
+                    tree_edges: Iterable[tuple[int, int]] | None = None) -> bool:
     """True iff the graph induced on s plus the terminals is connected.
-    Raises ValueError when s overlaps the terminal set."""
+    Raises ValueError when s overlaps the terminal set.
+
+    Given tree_edges, the answer is read from that certificate alone: it
+    must be |S u R| - 1 edges of the graph between vertices of S u R, and
+    a union-find over them must find no cycle, which makes them a spanning
+    tree. Without it, the bitmask BFS decides, independently of the
+    solvers' reachability code.
+    """
     s_set = set(s)
     r = set(inst.terminals)
     overlap = s_set & r
     if overlap:
         raise ValueError(f"candidate set overlaps terminals: {sorted(overlap)}")
-    members = sorted(s_set | r)
-    masks = _local_masks(inst.graph, members)
-    return _mask_connected(masks, (1 << len(members)) - 1)
+    members = s_set | r
+    if tree_edges is not None:
+        return _is_spanning_tree(inst.graph, members, list(tree_edges))
+    ordered = sorted(members)
+    masks = _local_masks(inst.graph, ordered)
+    return _mask_connected(masks, (1 << len(ordered)) - 1)
+
+
+def _is_spanning_tree(g: Graph, members: set[int],
+                      edges: list[tuple[int, int]]) -> bool:
+    if len(edges) != max(len(members) - 1, 0):
+        return False
+    parent = {v: v for v in members}
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        if u not in parent or v not in parent or not g.has_edge(u, v):
+            return False
+        ru, rv = root(u), root(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotK14FreeError
+from .errors import InvariantError, NotK14FreeError
 from .graph import Graph, bfs_tree
 from .matching import alpha_capped, maximum_matching
 from .oracle import brute_force_steiner
@@ -125,7 +125,8 @@ def prune(inst: SteinerInstance, sp: SplitPartition) -> PrunedInstance:
     view = restrict_view(sp, drop_clique=s2_set | s3_set,
                          drop_indep=s1_set | set(s3))
     terminals = tuple(i1)
-    assert view.independent == terminals
+    if view.independent != terminals:
+        raise InvariantError("pruning left a non-terminal independent vertex")
     return PrunedInstance(view=view, terminals=terminals,
                           removed_s1=tuple(s1), removed_s2=tuple(s2),
                           removed_s3=tuple(sorted(s3)),
@@ -134,6 +135,11 @@ def prune(inst: SteinerInstance, sp: SplitPartition) -> PrunedInstance:
 
 def _edge_graph(n: int, labeled: tuple[tuple[int, int, int], ...]) -> Graph:
     return Graph.from_edges(n, [(a, b) for a, b, _ in labeled])
+
+
+def _check_disjoint(a: set[int], b: set[int]) -> None:
+    if a & b:
+        raise InvariantError(f"vertex sets overlap at {sorted(a & b)}")
 
 
 def _covered_by(view: SplitPartition, chosen: set[int]) -> set[int]:
@@ -166,7 +172,9 @@ def solve_1split(pi: PrunedInstance) -> tuple[int, ...]:
     if view.delta_i != 1:
         raise ValueError(f"solve_1split needs delta_i == 1, got {view.delta_i}")
     s = corresponding_clique_set(view, view.independent)
-    assert len(s) == len(view.independent)
+    if len(s) != len(view.independent):
+        raise InvariantError(f"1-split answer has {len(s)} vertices for "
+                             f"{len(view.independent)} terminals")
     return s
 
 
@@ -194,9 +202,12 @@ def _solve_2split_impl(view: SplitPartition) -> tuple[tuple[int, ...], int]:
     covered = _covered_by(view, s1)
     rest = [u for u in view.independent if u not in covered]
     s2 = set(corresponding_clique_set(view, rest))
-    assert not (s1 & s2)
+    _check_disjoint(s1, s2)
     s = tuple(sorted(s1 | s2))
-    assert len(s) == len(view.independent) - p.size
+    if len(s) != len(view.independent) - p.size:
+        raise InvariantError(
+            f"2-split answer has {len(s)} vertices, expected "
+            f"|I1| - alpha(M) = {len(view.independent) - p.size}")
     return s, p.size
 
 
@@ -231,13 +242,15 @@ def _solve_3split_impl(
     alpha_m2: int | None = None
     chosen: int | None
     if best_alpha >= 1:
-        assert best_v is not None
         # K_{1,4}-freeness leaves every clique vertex at most two
         # independent neighbors once those of best_v are dropped
         lg = build_labeled_graph(
             restrict_view(view, drop_indep=view.indep_neighbors(best_v)))
         p1 = maximum_matching(_edge_graph(n, lg.labeled_edges))
-        assert p1.size == best_alpha
+        if p1.size != best_alpha:
+            raise InvariantError(
+                f"matching at center {best_v} has size {p1.size}, "
+                f"the probe found {best_alpha}")
         s1 = {best_v} | set(corresponding_vertex_set(lg, p1.edges))
         chosen = best_v
         alpha_m = p1.size
@@ -247,7 +260,8 @@ def _solve_3split_impl(
         lg2 = build_labeled_graph(h2)
         p2 = maximum_matching(_edge_graph(n, lg2.labeled_edges))
         # every M2 edge touches the neighborhood of any V_3 vertex
-        assert p2.size <= 3
+        if p2.size > 3:
+            raise InvariantError(f"matching avoiding V_3 has size {p2.size} > 3")
         alpha_m2 = p2.size
         if p2.size == 3:
             s1 = set(corresponding_vertex_set(lg2, p2.edges))
@@ -258,10 +272,13 @@ def _solve_3split_impl(
     covered = _covered_by(view, s1)
     rest = [u for u in view.independent if u not in covered]
     s2 = set(corresponding_clique_set(view, rest))
-    assert not (s1 & s2)
+    _check_disjoint(s1, s2)
     s = tuple(sorted(s1 | s2))
     n_i1 = len(view.independent)
-    assert n_i1 - 4 <= len(s) <= n_i1 - 2
+    if not n_i1 - 4 <= len(s) <= n_i1 - 2:
+        raise InvariantError(
+            f"3-split answer has {len(s)} vertices, outside "
+            f"[|I1| - 4, |I1| - 2] = [{n_i1 - 4}, {n_i1 - 2}]")
     return s, alpha_m, alpha_m2, chosen
 
 
@@ -309,7 +326,8 @@ def solve(inst: SteinerInstance, *, exact_fallback: bool = False,
                              SolveTrace(regime="empty"))
 
     d = view.delta_i
-    assert 1 <= d <= 3  # every terminal kept a clique neighbor; K14-free caps at 3
+    if not 1 <= d <= 3:  # every terminal kept a clique neighbor; K14-free caps at 3
+        raise InvariantError(f"reduced instance has delta_i = {d}, outside [1, 3]")
     if d == 1:
         s: tuple[int, ...] = solve_1split(pi)
         trace = SolveTrace(regime="1-split")
@@ -324,7 +342,7 @@ def solve(inst: SteinerInstance, *, exact_fallback: bool = False,
         s, alpha, alpha2, chosen = _solve_3split_impl(view)
         trace = SolveTrace(regime="3-split", alpha_m=alpha, alpha_m2=alpha2,
                            chosen_v3_vertex=chosen)
-    assert not (set(s) & r_set)
+    _check_disjoint(set(s), r_set)
     return SteinerResult(s, _tree_edges(g, set(s) | r_set), trace)
 
 

@@ -9,7 +9,7 @@ sides is meaningful.
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from splitsteiner import Graph
+from splitsteiner import Graph, SstpParseError, SteinerInstance
 
 
 def masks_from_graph(g: Graph) -> list[int]:
@@ -119,3 +119,85 @@ def split_corpus(max_n: int):
                             masks[v] |= 1 << (a + i)
                 out.append((n, masks))
     return out
+
+
+def reference_parse(text: str) -> SteinerInstance:
+    """The line-by-line SSTP parser that parse_instance replaced, kept as
+    its differential reference. Only _int changed: a number is 1 to 18
+    ASCII digits, the grammar parse_instance accepts."""
+    n = m = t = None
+    edges: list[tuple[int, int]] = []
+    terminals: list[int] = []
+    seen_edges: set[tuple[int, int]] = set()
+    seen_terms: set[int] = set()
+
+    def _int(tok: str, lineno: int, what: str) -> int:
+        if not (len(tok) <= 18 and tok.isascii() and tok.isdigit()):
+            raise SstpParseError(f"{what} is not an integer: {tok!r}", lineno)
+        return int(tok)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        tag = parts[0]
+        if tag == "p":
+            if n is not None:
+                raise SstpParseError("duplicate header", lineno)
+            if len(parts) != 5 or parts[1] != "sstp":
+                raise SstpParseError(f"bad header: {line!r}", lineno)
+            n = _int(parts[2], lineno, "vertex count")
+            m = _int(parts[3], lineno, "edge count")
+            t = _int(parts[4], lineno, "terminal count")
+            if n < 0 or m < 0 or t < 0:
+                raise SstpParseError("negative count in header", lineno)
+            if m < n - 1:
+                # reject before allocating anything of size n
+                raise SstpParseError(
+                    f"graph is not connected: {m} edges cannot connect "
+                    f"{n} vertices", lineno)
+        elif tag == "e":
+            if n is None:
+                raise SstpParseError("edge before header", lineno)
+            if len(parts) != 3:
+                raise SstpParseError(f"bad edge line: {line!r}", lineno)
+            u = _int(parts[1], lineno, "edge endpoint")
+            v = _int(parts[2], lineno, "edge endpoint")
+            if u == v:
+                raise SstpParseError(f"self-loop at vertex {u}", lineno)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise SstpParseError(f"edge ({u}, {v}) out of range", lineno)
+            if u > v:
+                raise SstpParseError(
+                    f"edge endpoints must satisfy u < v, got ({u}, {v})", lineno)
+            if (u, v) in seen_edges:
+                raise SstpParseError(f"duplicate edge ({u}, {v})", lineno)
+            seen_edges.add((u, v))
+            edges.append((u - 1, v - 1))
+        elif tag == "t":
+            if n is None:
+                raise SstpParseError("terminal before header", lineno)
+            if len(parts) != 2:
+                raise SstpParseError(f"bad terminal line: {line!r}", lineno)
+            u = _int(parts[1], lineno, "terminal")
+            if not (1 <= u <= n):
+                raise SstpParseError(f"terminal {u} out of range", lineno)
+            if u in seen_terms:
+                raise SstpParseError(f"duplicate terminal {u}", lineno)
+            seen_terms.add(u)
+            terminals.append(u - 1)
+        else:
+            raise SstpParseError(f"unrecognized line: {line!r}", lineno)
+
+    if n is None:
+        raise SstpParseError("missing header")
+    if len(edges) != m:
+        raise SstpParseError(f"header promises {m} edges, found {len(edges)}")
+    if len(terminals) != t:
+        raise SstpParseError(f"header promises {t} terminals, found {len(terminals)}")
+    graph = Graph.from_edges(n, edges)
+    try:
+        return SteinerInstance(graph=graph, terminals=tuple(terminals))
+    except ValueError as exc:  # terminals were checked above: not connected
+        raise SstpParseError(str(exc)) from exc

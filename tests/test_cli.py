@@ -106,6 +106,17 @@ def test_bench_fails_on_unverified_answer(tmp_path, capsys, monkeypatch):
     assert lines[-1] == {"files": 1, "verified": False}
 
 
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    def no_memory(text):
+        raise MemoryError
+
+    monkeypatch.setattr("splitsteiner.cli.parse_instance", no_memory)
+    path = _write(tmp_path, "p3.sstp", P3)
+    assert main(["solve", "--input", path, "--json"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: out of memory\n"
+
+
 def test_solve_not_split(tmp_path, capsys):
     path = _write(tmp_path, "c4.sstp", C4)
     assert main(["solve", "--input", path]) == 2
@@ -226,6 +237,37 @@ def test_bench_reports_and_parallel_determinism(tmp_path, capsys):
     assert main(["bench", "--dir", str(tmp_path), "--no-times",
                  "--workers", "2"]) == 0
     assert capsys.readouterr().out == serial
+
+
+@pytest.mark.parametrize("cpus,expected", [(8, [3]), (2, [2]), (None, [])])
+def test_bench_workers_bounded(tmp_path, capsys, monkeypatch, cpus, expected):
+    """--workers is capped by the file count and the CPU count; a pool
+    is started only for two workers or more."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("splitsteiner.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("splitsteiner.cli.os.cpu_count", lambda: cpus)
+    _write(tmp_path, "a_p3.sstp", P3)
+    _write(tmp_path, "b_ring.sstp", RING)
+    _write(tmp_path, "c_hub.sstp", HUB)
+    assert main(["bench", "--dir", str(tmp_path), "--no-times",
+                 "--workers", "100000"]) == 0
+    assert sizes == expected
+    lines = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
+    assert lines[-1] == {"files": 3, "verified": True}
 
 
 def test_bench_keeps_going_after_errors(tmp_path, capsys):

@@ -15,13 +15,32 @@ def test_from_edges_basic():
     assert not g.has_edge(0, 3)
 
 
+def test_from_edges_takes_arrays_and_iterables():
+    edges = [(2, 3), (0, 2), (0, 1), (3, 1)]
+    g = Graph.from_edges(4, edges)
+    assert Graph.from_edges(4, np.array(edges)) == g
+    assert Graph.from_edges(4, np.array(edges, dtype=np.int32)) == g
+    assert Graph.from_edges(4, iter(edges)) == g
+    assert Graph.from_edges(2, np.zeros((0, 2), dtype=np.int64)) == Graph.from_edges(2, [])
+
+
 def test_from_edges_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 3)])
-    with pytest.raises(ValueError):
-        Graph.from_edges(3, [(1, 1)])
-    with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 1), (1, 0)])
+    """The first bad pair in input order is reported, duplicates as the
+    smallest repeated pair, for lists and arrays alike."""
+    cases = [
+        ([(0, 3)], r"edge \(0, 3\) out of range for n=3"),
+        ([(1, 1)], "self-loop at vertex 1"),
+        ([(0, 1), (1, 1), (0, 5)], "self-loop at vertex 1"),
+        ([(0, 1), (5, 5), (1, 1)], r"edge \(5, 5\) out of range"),
+        ([(0, 1), (1, 0)], r"duplicate edge \(0, 1\)"),
+        ([(2, 1), (0, 2), (1, 2), (2, 0)], r"duplicate edge \(0, 2\)"),
+        ([(0, 1, 2)], "pairs"),
+        ([(0, 2**70)], "out of range"),
+    ]
+    for edges, message in cases:
+        for given in (edges, np.array(edges)):
+            with pytest.raises(ValueError, match=message):
+                Graph.from_edges(3, given)
     with pytest.raises(ValueError):
         Graph.from_edges(-1, [])
 

@@ -9,6 +9,7 @@ from splitsteiner import (
     SteinerInstance,
     brute_force_steiner,
     gen_split,
+    solve,
     verify_solution,
 )
 from helpers import brute_steiner_min, graph_from_masks, set_connected
@@ -109,3 +110,59 @@ def test_explored_counts_every_subset():
     assert res.min_size == 3
     assert res.witness == (1, 2, 3)
     assert res.explored == 8  # every subset of {1,2,3}
+
+
+def _members_connected(inst, members, edges):
+    """Independent check: do these edges alone connect the members?"""
+    masks = [0] * inst.graph.n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return set_connected(masks, members)
+
+
+@pytest.mark.parametrize("level,k14_free", [(1, False), (2, False), (3, True)])
+def test_tree_certificate(level, k14_free):
+    """The solver's tree certifies its Steiner set, in agreement with the
+    bigint BFS; five kinds of corrupted tree are all rejected."""
+    for seed in range(6):
+        inst = gen_split(GeneratorConfig(clique_size=10, independent_size=9,
+                                         level=level, k14_free=k14_free, seed=seed))
+        res = solve(inst)
+        s, tree = res.steiner_set, list(res.tree_edges)
+        members = set(s) | set(inst.terminals)
+        assert len(s) >= 3 and len(tree) == len(members) - 1
+        assert verify_solution(inst, s, tree) is True
+        assert verify_solution(inst, s) is True
+        g = inst.graph
+
+        dropped = tree[1:]
+        non_edge = next((a, b) for a in sorted(members) for b in sorted(members)
+                        if a < b and not g.has_edge(a, b))
+        replaced = [non_edge] + tree[1:]
+        # an edge of G[S u R] outside the tree, swapped for a tree edge off
+        # the cycle it closes: still |S u R| - 1 graph edges, but not a tree
+        chords = [(a, b) for a in sorted(members) for b in sorted(members)
+                  if a < b and g.has_edge(a, b) and (a, b) not in tree
+                  and (b, a) not in tree]
+        cyclic = next(c for c in ([ch] + tree[:k] + tree[k + 1:]
+                                  for ch in chords for k in range(len(tree)))
+                      if not _members_connected(inst, members, c))
+        a = sorted(members)[0]
+        outside = next(int(w) for w in g.neighbors(a) if int(w) not in members)
+        escaping = tree[:-1] + [(a, outside)]
+        repeated = tree[:-1] + [tree[0]]
+        for bad in (dropped, replaced, cyclic, escaping, repeated):
+            assert verify_solution(inst, s, bad) is False, (seed, bad)
+
+
+def test_tree_certificate_edge_cases():
+    assert verify_solution(P3, (1,), [(0, 1), (1, 2)])
+    assert verify_solution(P3, (1,), [(2, 1), (1, 0)])  # either orientation
+    assert not verify_solution(P3, (), [])
+    assert not verify_solution(P3, (1,), [(0, 1), (0, 1)])
+    no_terms = SteinerInstance(graph=P3.graph, terminals=())
+    assert verify_solution(no_terms, (), ())
+    assert not verify_solution(no_terms, (), [(0, 1)])
+    with pytest.raises(ValueError, match=r"overlaps terminals: \[0\]"):
+        verify_solution(P3, (0, 1), [(0, 1), (1, 2)])

@@ -1,13 +1,21 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import splitsteiner.solver
 from splitsteiner import (
+    GeneratorConfig,
     Graph,
+    InvariantError,
     NotK14FreeError,
     NotSplitError,
     SteinerInstance,
     brute_force_steiner,
     find_induced_star,
+    gen_split,
     prune,
+    serialize_instance,
     solve,
     solve_1split,
     solve_2split,
@@ -16,6 +24,7 @@ from splitsteiner import (
     split_partition,
     verify_solution,
 )
+from splitsteiner.cli import main
 from helpers import brute_steiner_min, graph_from_masks, set_connected
 
 REGIMES = {"empty", "1-split", "2-split", "3-split", "claw-free", "exact-fallback"}
@@ -278,3 +287,23 @@ def test_3split_regime_reachable_in_small_graphs():
     sp = split_partition(HUB)
     assert sp.delta_i == 3 and find_induced_star(sp, 4) is None
     assert solve(inst).trace.regime == "3-split"
+
+
+def test_invariant_violation_raises(tmp_path, capsys, monkeypatch):
+    """A wrong probe size trips the solver's own check, raised (not
+    asserted) so that it holds under python -O; the CLI exits 1."""
+    inst = gen_split(GeneratorConfig(clique_size=8, independent_size=9, level=3,
+                                     k14_free=True, seed=1))
+    assert solve(inst).trace.regime == "3-split"
+    monkeypatch.setattr("splitsteiner.solver.alpha_capped", lambda edges: 5)
+    with pytest.raises(InvariantError, match="the probe found 5"):
+        solve(inst)
+    path = tmp_path / "l3.sstp"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    assert main(["solve", "--input", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: matching at center")
+
+
+def test_solver_has_no_assert():
+    tree = ast.parse(Path(splitsteiner.solver.__file__).read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

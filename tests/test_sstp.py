@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from splitsteiner import (
     Graph,
@@ -8,6 +8,7 @@ from splitsteiner import (
     parse_instance,
     serialize_instance,
 )
+from helpers import reference_parse
 
 P3 = "p sstp 3 2 2\ne 1 2\ne 2 3\nt 1\nt 3\n"
 
@@ -113,3 +114,128 @@ def test_serialize_parse_roundtrip(inst):
     again = parse_instance(serialize_instance(inst))
     assert again.graph == inst.graph
     assert again.terminals == inst.terminals
+
+
+@pytest.mark.parametrize("text,lineno,message", [
+    ("p sstp 2 1 0\ne +1 2\n", 2, "edge endpoint is not an integer: '+1'"),
+    ("p sstp 2 1 0\ne 1_0 2\n", 2, "edge endpoint is not an integer: '1_0'"),
+    ("p sstp 2 1 0\ne 1\u00a02\n", 2, "bad edge line: 'e 1\\xa02'"),
+    ("p sstp 2 1 0\ne \uff11 2\n", 2, "edge endpoint is not an integer: '\uff11'"),
+    ("p sstp 2 1 1\ne 1 2\nt 0000000000000000001\n", 3,
+     "terminal is not an integer: '0000000000000000001'"),
+    ("p sstp 2 1 0\n\u00a0# no-break space before the hash\ne 1 2\n", 2,
+     "unrecognized line: '\\xa0# no-break space before the hash'"),
+])
+def test_ascii_grammar_rejects_with_line(text, lineno, message):
+    """Signs, underscores, non-ASCII digits and spaces and numbers over
+    18 digits are outside the grammar, though str.split and int take them."""
+    with pytest.raises(SstpParseError) as exc:
+        parse_instance(text)
+    assert exc.value.line == lineno
+    assert str(exc.value) == f"line {lineno}: {message}"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("e 1 x y", "bad edge line: 'e 1 x y'"),      # arity before integers
+    ("e x y", "edge endpoint is not an integer: 'x'"),  # u before v
+    ("e 1 y", "edge endpoint is not an integer: 'y'"),
+    ("e 0 0", "self-loop at vertex 0"),          # self-loop before range
+    ("e 9 1", "edge (9, 1) out of range"),       # range before u < v
+    ("e 3 1", "edge endpoints must satisfy u < v, got (3, 1)"),
+    ("e 2 3", "duplicate edge (2, 3)"),          # the later line
+    ("t 0 x", "bad terminal line: 't 0 x'"),
+    ("t -1", "terminal is not an integer: '-1'"),  # integer before range
+    ("t 0", "terminal 0 out of range"),
+    ("t 1", "duplicate terminal 1"),
+])
+def test_faults_of_one_line_in_reference_order(line, message):
+    text = f"p sstp 3 2 1\ne 1 2\ne 2 3\nt 1\n{line}\ne 1 3\n"
+    for parse in (parse_instance, reference_parse):
+        with pytest.raises(SstpParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"line 5: {message}"
+
+
+def test_non_ascii_comment_accepted():
+    inst = parse_instance("# caf\u00e9 \u2260 cafe\u2028still the comment\n"
+                          "p sstp 2 1 1\ne 1 2\n#\u00a0\u00bd\nt 2\n")
+    assert inst.graph.m == 1 and inst.terminals == (1,)
+
+
+def test_eighteen_digits_fit():
+    big = "9" * 18
+    with pytest.raises(SstpParseError) as exc:
+        parse_instance(f"p sstp {big} {big} 0\ne 1 {big}\ne 1 {big}\n")
+    assert exc.value.line == 3
+    assert str(exc.value) == f"line 3: duplicate edge (1, {big})"
+
+
+# separators and line ends: the ASCII bytes that str.split and
+# str.splitlines treat as whitespace or a break (\v and \f are both);
+# tokens mix small ids, tags and the bytes the narrowed grammar rejects
+SPACES = [" ", " ", "\t", "  ", "\x1f"]
+LINE_ENDS = ["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+TOKENS = st.one_of(st.integers(min_value=0, max_value=7).map(str),
+                   st.text(alphabet="+-_#petq0123456789", min_size=1, max_size=3),
+                   st.sampled_from(["sstp", "p", "e", "t", "9" * 19]))
+
+
+@st.composite
+def mutated_sstp(draw):
+    """A small valid SSTP file, then a few line-level mutations, written
+    out with drawn whitespace and line ends."""
+    inst = draw(connected_instances(max_n=5))
+    lines = [line.split() for line in serialize_instance(inst).splitlines()]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "reorder", "flip", "insert",
+                                   "replace", "replace", "blank", "comment"]))
+        i = draw(st.integers(min_value=0, max_value=max(len(lines) - 1, 0)))
+        j = draw(st.integers(min_value=0, max_value=len(lines)))
+        if op == "drop" and lines:
+            del lines[i]
+        elif op == "duplicate" and lines:
+            lines.insert(j, list(lines[i]))
+        elif op == "swap" and lines:
+            j = min(j, len(lines) - 1)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "reorder":
+            lines = draw(st.permutations(lines))
+        elif op == "flip" and lines:
+            lines[i][1:] = lines[i][:0:-1]
+        elif op in ("insert", "replace") and lines:
+            k = draw(st.integers(min_value=0, max_value=len(lines[i])))
+            tok = draw(TOKENS)
+            if op == "replace" and k < len(lines[i]):
+                lines[i][k] = tok
+            else:
+                lines[i].insert(k, tok)
+        elif op == "blank":
+            lines.insert(j, [])
+        elif op == "comment":
+            lines.insert(j, ["#"] + draw(st.lists(TOKENS, max_size=2)))
+    out = []
+    for toks in lines:
+        seps = [draw(st.sampled_from(["", ""] + SPACES))]
+        seps += [draw(st.sampled_from(SPACES)) for _ in toks[1:]]
+        tail = draw(st.sampled_from(["", ""] + SPACES)) + draw(st.sampled_from(LINE_ENDS))
+        out.append("".join(sep + tok for sep, tok in zip(seps, toks)) + tail)
+    text = "".join(out)
+    if draw(st.booleans()):
+        text = text.rstrip("\n\r\x1c\x1d\x1e")
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        inst = parse(text)
+    except SstpParseError as exc:
+        return "error", exc.line, str(exc)
+    return "instance", inst.graph, inst.terminals
+
+
+@given(mutated_sstp())
+@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+def test_matches_line_by_line_reference(text):
+    """The array parser and the line loop it replaced agree on every
+    ASCII text: the same instance, or the same line and message."""
+    assert _outcome(parse_instance, text) == _outcome(reference_parse, text)
