@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeneratorError
+from .errors import GeneratorError, InvariantError
 from .graph import Graph
 from .split import split_partition
 from .sstp import SteinerInstance
@@ -242,7 +242,9 @@ def _cross_level3_k14(rng: np.random.Generator, a: int, b: int,
                     j = opts[int(rng.integers(len(opts)))]
                     cross[v].append(j)
                     load[j] += 1
-    assert all(l < a for l in load)
+    if any(l >= a for l in load):
+        raise InvariantError(
+            "K_(1,4)-free level 3: an independent vertex sees the whole clique")
     return cross
 
 

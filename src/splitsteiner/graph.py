@@ -109,6 +109,13 @@ class Graph:
             for w in nb[start:]:
                 yield (u, int(w))
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge once as arrays (u, v) with u < v, in edges() order."""
+        src = np.repeat(np.arange(self.n, dtype=self._indices.dtype),
+                        np.diff(self._indptr))
+        upper = src < self._indices
+        return src[upper], self._indices[upper]
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

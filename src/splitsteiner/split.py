@@ -1,7 +1,8 @@
 """Split-graph recognition and canonical clique/independent partitions.
 
-Recognition uses the degree-sequence characterization: with degrees
-d_1 >= ... >= d_n and k = max{i : d_i >= i-1}, the graph is split iff
+Recognition uses the degree-sequence characterization of Hammer and
+Simeone: with degrees d_1 >= ... >= d_n and k = max{i : d_i >= i-1}, the
+graph is split iff
 
     sum_{i<=k} d_i == k(k-1) + sum_{i>k} d_i,
 
@@ -10,8 +11,17 @@ rest are independent. The returned partition therefore always has a
 maximum (hence maximal) clique side. Ties at the degree boundary can admit
 several valid cliques; we return the lexicographically smallest one.
 
-Non-split graphs always contain an induced 2K2, C4 or C5; the recognizer
-hunts one down and attaches it to the error as a certificate.
+A non-split graph is certified by shrinking it. Split graphs are closed
+under induced subgraphs, and by Foldes and Hammer the minimal non-split
+graphs are exactly 2K2, C4 and C5. So dropping vertices while the degree
+identity keeps failing ends on one of the three, induced in the input.
+Each round cuts the s survivors into six consecutive parts and drops, in
+turn, every part whose removal keeps the graph non-split. An obstruction
+has at most five vertices, so some part misses one that is still there
+at the end of the round; that part was dropped, so a round removes at
+least floor(s/6) vertices. A check is a bincount over the surviving
+edges and a sort of the degrees: O(log n) rounds of at most six checks
+cost O((n + m) log n).
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSplitError
+from .errors import InvariantError, NotSplitError
 from .graph import Graph
 
 
@@ -126,35 +136,80 @@ def _resolve_boundary_tie(g: Graph, mandatory: list[int], pool: list[int],
     return best
 
 
-def _find_obstruction(g: Graph) -> NotSplitError:
-    """Locate an induced 2K2, C4 or C5 in a non-split graph."""
-    adj = [set(g.neighbor_list(v)) for v in range(g.n)]
-    edges = list(g.edges())
-    # induced 2K2: two edges with no endpoints shared or adjacent
-    for i, (a, b) in enumerate(edges):
-        ab = adj[a] | adj[b] | {a, b}
-        for c, d in edges[i + 1:]:
-            if c not in ab and d not in ab:
-                return NotSplitError("2K2", (a, b, c, d))
-    # induced C4: non-adjacent u,v with two non-adjacent common neighbors
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if v in adj[u]:
-                continue
-            common = sorted(adj[u] & adj[v])
-            for i, x in enumerate(common):
-                for y in common[i + 1:]:
-                    if y not in adj[x]:
-                        return NotSplitError("C4", (u, x, v, y))
-    # induced C5: a-b-c-d-e-a with no chords
-    for a in range(g.n):
-        for b in sorted(adj[a]):
-            for c in sorted(adj[b] - adj[a] - {a}):
-                for d in sorted(adj[c] - adj[b] - adj[a] - {b}):
-                    for e in sorted((adj[d] & adj[a]) - adj[b] - adj[c]):
-                        if e != a and e != b:
-                            return NotSplitError("C5", (a, b, c, d, e))
-    raise AssertionError("non-split graph without 2K2/C4/C5 obstruction")
+def _degree_test(degs: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Hammer-Simeone test on a degree array.
+
+    Returns the canonical order (degree descending, id ascending), k and
+    whether the degree identity holds. d_i - (i-1) strictly decreases
+    along the order, so the indices with d_i >= i-1 form a prefix and k
+    is their count.
+    """
+    order = np.argsort(-degs, kind="stable")
+    d_sorted = degs[order]
+    k = int(np.count_nonzero(d_sorted >= np.arange(d_sorted.size)))
+    top = int(d_sorted[:k].sum())
+    rest = int(d_sorted[k:].sum())
+    return order, k, top == k * (k - 1) + rest
+
+
+def _certificate(g: Graph) -> NotSplitError:
+    """Shrink a non-split graph to an induced 2K2, C4 or C5.
+
+    Each round cuts the alive vertices, ascending, into min(6, alive)
+    consecutive parts and drops each part in turn whose removal leaves
+    the degree identity failing. Within a round a dropped part stays in
+    the degree array as isolated vertices, which never change the
+    identity's verdict; edges are renumbered to the survivors once per
+    round, so every array is sized to what is still alive.
+    """
+    eu, ev = g.edge_arrays()
+    alive = np.arange(g.n)
+    while True:
+        size = alive.size
+        parts = min(6, size)
+        part = (np.arange(size) * parts // size).astype(np.int8)
+        pu, pv = part[eu], part[ev]
+        dropped = []
+        for j in range(parts):
+            keep = (pu != j) & (pv != j)
+            degs = (np.bincount(eu[keep], minlength=size)
+                    + np.bincount(ev[keep], minlength=size))
+            if not _degree_test(degs)[2]:
+                eu, ev, pu, pv = eu[keep], ev[keep], pu[keep], pv[keep]
+                dropped.append(j)
+        gone = np.zeros(parts, dtype=bool)
+        gone[dropped] = True
+        survivors = ~gone[part]
+        local = np.cumsum(survivors, dtype=eu.dtype) - 1
+        eu, ev, alive = local[eu], local[ev], alive[survivors]
+        if parts == size:
+            # each survivor of a round of single vertices is needed:
+            # removing it left a split graph, and so do later drops
+            break
+    return _witness(alive.tolist(), list(zip(eu.tolist(), ev.tolist())))
+
+
+def _witness(alive: list[int], edges: list[tuple[int, int]]) -> NotSplitError:
+    """Name a minimal non-split graph: alive host ids, edges as local
+    index pairs. By Foldes-Hammer it is a 2K2, C4 or C5."""
+    adj: list[list[int]] = [[] for _ in alive]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    degrees = {len(nb) for nb in adj}
+    if len(alive) == 4 and degrees == {1}:
+        pairs = sorted((alive[a], alive[b]) for a, b in edges)
+        return NotSplitError("2K2", pairs[0] + pairs[1])
+    if len(alive) in (4, 5) and degrees == {2}:
+        # cycle order from the smallest vertex, towards its smaller neighbour
+        cycle = [0]
+        while len(cycle) < len(alive):
+            cycle.append(min(w for w in adj[cycle[-1]] if w not in cycle))
+        kind = "C4" if len(alive) == 4 else "C5"
+        return NotSplitError(kind, tuple(alive[v] for v in cycle))
+    raise InvariantError(
+        f"non-split graph shrank to {len(alive)} vertices and {len(edges)} "
+        "edges, not a 2K2, C4 or C5")
 
 
 def split_partition(g: Graph) -> SplitPartition:
@@ -167,27 +222,19 @@ def split_partition(g: Graph) -> SplitPartition:
     if g.n == 0:
         return _partition_from_clique(g, [])
     degs = g.degrees()
-    # sort by degree descending, id ascending
-    order = sorted(range(g.n), key=lambda v: (-int(degs[v]), v))
-    d_sorted = [int(degs[v]) for v in order]
-    k = 0
-    for i in range(g.n):
-        if d_sorted[i] >= i:
-            k = i + 1
-    top = sum(d_sorted[:k])
-    rest = sum(d_sorted[k:])
-    if top != k * (k - 1) + rest:
-        raise _find_obstruction(g)
-    dk = d_sorted[k - 1]
-    mandatory = [v for v in range(g.n) if int(degs[v]) > dk]
-    pool = [v for v in range(g.n) if int(degs[v]) == dk]
+    order, k, split = _degree_test(degs)
+    if not split:
+        raise _certificate(g)
+    dk = degs[order[k - 1]]
+    mandatory = np.flatnonzero(degs > dk).tolist()
+    pool = np.flatnonzero(degs == dk).tolist()
     h = k - len(mandatory)
     if h == len(pool):
         clique = sorted(mandatory + pool)
         if not _validate_candidate(g, clique):
-            raise AssertionError("degree test passed but partition invalid")
+            raise InvariantError("degree test passed but partition invalid")
         return _partition_from_clique(g, clique)
     chosen = _resolve_boundary_tie(g, mandatory, pool, h)
     if chosen is None:
-        raise AssertionError("degree test passed but no tie resolution found")
+        raise InvariantError("degree test passed but no tie resolution found")
     return _partition_from_clique(g, sorted(mandatory + chosen))

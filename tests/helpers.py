@@ -9,7 +9,7 @@ sides is meaningful.
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from splitsteiner import Graph, SstpParseError, SteinerInstance
+from splitsteiner import Graph, NotSplitError, SstpParseError, SteinerInstance
 
 
 def masks_from_graph(g: Graph) -> list[int]:
@@ -119,6 +119,62 @@ def split_corpus(max_n: int):
                             masks[v] |= 1 << (a + i)
                 out.append((n, masks))
     return out
+
+
+def assert_obstruction_is_real(g: Graph, err: NotSplitError) -> None:
+    """err's vertices induce exactly the named 2K2, C4 or C5 in g, the
+    cycles in cycle order."""
+    vs = err.vertices
+    present = {(min(u, v), max(u, v)) for u, v in combinations(vs, 2)
+               if g.has_edge(u, v)}
+    if err.kind == "2K2":
+        a, b, c, d = vs
+        assert present == {(min(a, b), max(a, b)), (min(c, d), max(c, d))}
+    elif err.kind == "C4":
+        a, b, c, d = vs
+        cyc = [(a, b), (b, c), (c, d), (d, a)]
+        assert present == {(min(u, v), max(u, v)) for u, v in cyc}
+    elif err.kind == "C5":
+        assert len(vs) == 5 and len(present) == 5
+        for i in range(5):
+            u, v = vs[i], vs[(i + 1) % 5]
+            assert g.has_edge(u, v)
+    else:
+        raise AssertionError(f"unknown obstruction kind {err.kind}")
+
+
+def reference_obstruction(g: Graph) -> NotSplitError:
+    """The obstruction finder that split_partition's certifier replaced,
+    kept as its reference: an O(m^2) scan over pairs of edges for a 2K2,
+    then searches for a C4 and a C5. Raises AssertionError when g has
+    none of them, i.e. when g is split."""
+    adj = [set(g.neighbor_list(v)) for v in range(g.n)]
+    edges = list(g.edges())
+    # induced 2K2: two edges with no endpoints shared or adjacent
+    for i, (a, b) in enumerate(edges):
+        ab = adj[a] | adj[b] | {a, b}
+        for c, d in edges[i + 1:]:
+            if c not in ab and d not in ab:
+                return NotSplitError("2K2", (a, b, c, d))
+    # induced C4: non-adjacent u,v with two non-adjacent common neighbors
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if v in adj[u]:
+                continue
+            common = sorted(adj[u] & adj[v])
+            for i, x in enumerate(common):
+                for y in common[i + 1:]:
+                    if y not in adj[x]:
+                        return NotSplitError("C4", (u, x, v, y))
+    # induced C5: a-b-c-d-e-a with no chords
+    for a in range(g.n):
+        for b in sorted(adj[a]):
+            for c in sorted(adj[b] - adj[a] - {a}):
+                for d in sorted(adj[c] - adj[b] - adj[a] - {b}):
+                    for e in sorted((adj[d] & adj[a]) - adj[b] - adj[c]):
+                        if e != a and e != b:
+                            return NotSplitError("C5", (a, b, c, d, e))
+    raise AssertionError("non-split graph without 2K2/C4/C5 obstruction")
 
 
 def reference_parse(text: str) -> SteinerInstance:

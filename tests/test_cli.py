@@ -4,19 +4,24 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import splitsteiner
 from splitsteiner import (
     Graph,
+    NotSplitError,
     SolveTrace,
     SteinerInstance,
     SteinerResult,
     serialize_instance,
+    split_partition,
 )
 from splitsteiner.cli import main
+from helpers import assert_obstruction_is_real
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # What the launcher pip writes for `splitsteiner = "splitsteiner.cli:main"`
@@ -174,6 +179,53 @@ def test_check_not_split(tmp_path, capsys):
     ws = payload["witnesses"]["not_split"]
     assert ws["kind"] == "C4"
     assert sorted(ws["vertices"]) == [1, 2, 3, 4]
+
+
+def _cycle_join_clique(c: int, k: int, seed: int) -> tuple[Graph, list[int]]:
+    """A C_c joined to every vertex of K_k, ids shuffled; returns the
+    graph and the cycle's ids. The cycle is its only obstruction."""
+    perm = np.random.default_rng(seed).permutation(c + k)
+    edges = [(i, (i + 1) % c) for i in range(c)]
+    edges += [(u, v) for u in range(c, c + k) for v in range(u + 1, c + k)]
+    edges += [(i, u) for i in range(c) for u in range(c, c + k)]
+    relabelled = np.sort(perm[np.array(edges)], axis=1)
+    return Graph.from_edges(c + k, relabelled), perm[:c].tolist()
+
+
+@pytest.mark.parametrize("kind,c", [("C5", 5), ("C4", 4)])
+def test_check_large_non_split_does_not_hang(tmp_path, capsys, kind, c):
+    """A cycle joined to K_600 (180k edges) has no 2K2, so a search over
+    pairs of edges would run for many minutes before finding the cycle."""
+    g, cycle = _cycle_join_clique(c, 600, seed=c)
+    t0 = time.perf_counter()
+    with pytest.raises(NotSplitError) as exc:
+        split_partition(g)
+    assert time.perf_counter() - t0 < 5.0
+    assert exc.value.kind == kind and sorted(exc.value.vertices) == sorted(cycle)
+
+    path = _write(tmp_path, "join.sstp",
+                  serialize_instance(SteinerInstance(graph=g, terminals=())))
+    assert main(["check", "--input", path]) == 0
+    ws = json.loads(capsys.readouterr().out)["witnesses"]["not_split"]
+    assert ws["kind"] == kind
+    assert_obstruction_is_real(
+        g, NotSplitError(kind, tuple(v - 1 for v in ws["vertices"])))
+
+
+@pytest.mark.parametrize("text", [CLAW, "p sstp 3 3 0\ne 1 2\ne 1 3\ne 2 3\n"],
+                         ids=["boundary-tie", "whole-pool"])
+def test_check_invariant_violation_exits_1(tmp_path, capsys, monkeypatch, text):
+    """A failed recognition invariant is an error line and exit 1, not a
+    traceback: the claw resolves a degree tie, the triangle takes its
+    whole top-degree pool."""
+    monkeypatch.setattr("splitsteiner.split._validate_candidate",
+                        lambda g, clique: False)
+    path = _write(tmp_path, "g.sstp", text)
+    assert main(["check", "--input", path]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: degree test passed but ")
+    assert "Traceback" not in out.err
 
 
 def test_oracle_json(tmp_path, capsys):

@@ -305,5 +305,16 @@ def test_invariant_violation_raises(tmp_path, capsys, monkeypatch):
 
 
 def test_solver_has_no_assert():
-    tree = ast.parse(Path(splitsteiner.solver.__file__).read_text(encoding="utf-8"))
-    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+    """No module of the package keeps an invariant in an assert, which
+    python -O strips, or raises a bare AssertionError, which the CLI
+    would print as a raw traceback."""
+    found = []
+    for path in sorted(Path(splitsteiner.solver.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            raises_assertion = (
+                isinstance(node, ast.Raise) and node.exc is not None
+                and "AssertionError" in ast.unparse(node.exc))
+            if isinstance(node, ast.Assert) or raises_assertion:
+                found.append((path.name, node.lineno))
+    assert found == []

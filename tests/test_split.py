@@ -4,11 +4,18 @@ canonical partition is pinned on small named graphs."""
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitsteiner import Graph, NotSplitError, split_partition
-from helpers import brute_is_split, graph_from_masks, masks_from_graph
+from helpers import (
+    assert_obstruction_is_real,
+    brute_is_split,
+    graph_from_masks,
+    masks_from_graph,
+    reference_obstruction,
+)
 
 
 def _partition_invariants(g, sp):
@@ -65,26 +72,6 @@ def test_edgeless_graph():
     assert sp.independent == (1, 2)
 
 
-def _assert_obstruction_is_real(g, err):
-    vs = err.vertices
-    present = {(min(u, v), max(u, v)) for u, v in combinations(vs, 2)
-               if g.has_edge(u, v)}
-    if err.kind == "2K2":
-        a, b, c, d = vs
-        assert present == {(min(a, b), max(a, b)), (min(c, d), max(c, d))}
-    elif err.kind == "C4":
-        a, b, c, d = vs
-        cyc = [(a, b), (b, c), (c, d), (d, a)]
-        assert present == {(min(u, v), max(u, v)) for u, v in cyc}
-    elif err.kind == "C5":
-        assert len(vs) == 5 and len(present) == 5
-        for i in range(5):
-            u, v = vs[i], vs[(i + 1) % 5]
-            assert g.has_edge(u, v)
-    else:
-        pytest.fail(f"unknown obstruction kind {err.kind}")
-
-
 @pytest.mark.parametrize("edges,kind", [
     ([(0, 1), (1, 2), (2, 3), (0, 3)], "C4"),
     ([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], "C5"),
@@ -96,7 +83,7 @@ def test_obstructions(edges, kind):
     with pytest.raises(NotSplitError) as exc:
         split_partition(g)
     assert exc.value.kind == kind
-    _assert_obstruction_is_real(g, exc.value)
+    assert_obstruction_is_real(g, exc.value)
 
 
 def test_every_graph_up_to_6_vertices():
@@ -111,7 +98,7 @@ def test_every_graph_up_to_6_vertices():
                 sp = split_partition(g)
             except NotSplitError as err:
                 assert not brute_is_split(masks), (n, edges)
-                _assert_obstruction_is_real(g, err)
+                assert_obstruction_is_real(g, err)
             else:
                 assert brute_is_split(masks), (n, edges)
                 _partition_invariants(g, sp)
@@ -143,7 +130,52 @@ def test_recognizer_matches_brute_force(g):
         sp = split_partition(g)
     except NotSplitError as err:
         assert not brute_is_split(masks)
-        _assert_obstruction_is_real(g, err)
+        assert_obstruction_is_real(g, err)
     else:
         assert brute_is_split(masks)
         _partition_invariants(g, sp)
+
+
+@st.composite
+def near_split_graphs(draw):
+    """A random split graph, |C| and |I| up to 40 and ids shuffled, with
+    one to three vertex pairs flipped between edge and non-edge."""
+    a = draw(st.integers(min_value=0, max_value=40))
+    b = draw(st.integers(min_value=0, max_value=40))
+    n = a + b
+    if n < 2:
+        return Graph.from_edges(n, [])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(min_value=0.0, max_value=1.0))
+    edges = {(u, v) for u in range(a) for v in range(u + 1, a)}
+    edges |= {(u, x) for u in range(a) for x in range(a, n)
+              if rng.random() < density}
+    sides = [range(a), range(a, n), range(n)]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        # inside C, inside I, or anywhere; a side too small to hold a
+        # pair falls back to anywhere
+        side = sides[draw(st.integers(min_value=0, max_value=2))]
+        side = side if len(side) >= 2 else sides[2]
+        u, v = sorted(rng.choice(side, size=2, replace=False).tolist())
+        edges ^= {(u, v)}
+    perm = rng.permutation(n)
+    return Graph.from_edges(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
+
+
+@given(st.one_of(near_split_graphs(), random_graphs(max_n=12)))
+@settings(max_examples=150, deadline=None)
+def test_certificate_matches_reference(g):
+    try:
+        expected = reference_obstruction(g)
+    except AssertionError:  # the reference found no obstruction: split
+        expected = None
+    try:
+        split_partition(g)
+    except NotSplitError as err:
+        assert expected is not None
+        assert_obstruction_is_real(g, err)
+        with pytest.raises(NotSplitError) as again:
+            split_partition(g)
+        assert (again.value.kind, again.value.vertices) == (err.kind, err.vertices)
+    else:
+        assert expected is None
