@@ -6,8 +6,9 @@ The implementation therefore runs one augmenting-path search per
 connected component after a greedy warm start, so isolated vertices and
 already-saturated components cost nothing.
 
-alpha_capped answers the only question the 3-split solver asks while it
-probes V_3 centers, "is alpha 0, 1, or at least 2?", straight from an
+alpha_capped answers the only question the 3-split solver's V_3 probe
+asks, "is alpha 0, 1, or at least 2?", of a link-graph kernel (at most
+45 edges) with a triple's other two vertices deleted, straight from an
 edge list, without building a graph.
 """
 

@@ -10,8 +10,18 @@ independent terminals:
     graph M tells which clique vertices can cover two terminals at once,
     giving |S| = |I1| - alpha(M) (minimum edge cover via Gallai);
   * delta 3, K_{1,4}-free: at most one clique vertex covering three
-    terminals is ever worth using; trying every such center v against a
+    terminals is ever worth using; the best center v in V_3 with a
     matching on what remains yields |S| in {|I1|-2, |I1|-3, |I1|-4}.
+    K_{1,4}-freeness makes the V_3 triples pairwise intersecting, so the
+    surviving matching alpha(T_v) never exceeds 2, and the probe rests on
+    three facts of intersecting families. (1) alpha(T_v) depends on the
+    triple T_v alone, and the center taken is min{v : alpha(T_v) is
+    largest}. (2) In the link graph L(a) = {T - a : a in T} of an
+    independent vertex a, survivor edges of different elements of T_v
+    always meet, so alpha(T_v) = max over a in T_v of
+    min(nu(L(a) - b - c), 2) with {b, c} = T_v - a. (3) Each link has a
+    kernel of at most 45 edges that answers that for every {b, c}
+    (_link_kernel). The probe costs O(|V_3|).
 
 Graphs that are split but contain an induced K_{1,4} are NP-hard
 territory; solve() either delegates to the exponential oracle (when
@@ -149,21 +159,72 @@ def _covered_by(view: SplitPartition, chosen: set[int]) -> set[int]:
     return out
 
 
-def _survivor_pairs(v3_triples: list[tuple[int, tuple[int, ...]]],
-                    v: int, banned: set[int]) -> list[tuple[int, int]]:
-    """Labeled-graph edges left after dropping the I-neighborhood of v.
+def _link_kernel(link: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
+    """Edges of the link graph that decide min(nu(link - b - c), 2) for
+    every pair {b, c}, or None when the link has four disjoint edges, of
+    which any b, c leave two.
 
-    Once the K_{1,4}-freeness check has passed, every clique vertex's
-    neighborhood meets banned, so a surviving pair can only be another
-    three-neighbor center's triple losing exactly one vertex."""
-    out = []
-    for u, xs in v3_triples:
-        if u == v:
-            continue
-        rest = [x for x in xs if x not in banned]
-        if len(rest) == 2:
-            out.append((rest[0], rest[1]))
-    return out
+    A greedy maximal matching of at most three edges covers the link
+    with its vertex set X. Kept are the edges inside X and up to five
+    edges from each x in X to outside X. A 2-matching avoiding b and c
+    that uses a dropped edge x-y can trade it for a kept x-y': at most
+    four outside vertices (b, c and the other edge's ends) are
+    forbidden, so one of the five is free.
+    """
+    cover: set[int] = set()
+    for x, y in link:
+        if x not in cover and y not in cover:
+            if len(cover) == 6:
+                return None
+            cover.update((x, y))
+    spare = dict.fromkeys(cover, 5)
+    kept = []
+    for x, y in link:
+        if x in cover and y in cover:
+            kept.append((x, y))
+        else:
+            hub = x if x in cover else y
+            if spare[hub]:
+                spare[hub] -= 1
+                kept.append((x, y))
+    return kept
+
+
+def _triple_alphas(view: SplitPartition) -> dict[tuple[int, ...], int]:
+    """min(alpha, 2) of the survivor matching of each distinct V_3
+    triple. Needs a K_{1,4}-free view, whose V_3 triples pairwise
+    intersect."""
+    triples = dict.fromkeys(view.indep_neighbors(v) for v in view.v3)
+    links: dict[int, list[tuple[int, int]]] = {}
+    for a, b, c in triples:
+        links.setdefault(a, []).append((b, c))
+        links.setdefault(b, []).append((a, c))
+        links.setdefault(c, []).append((a, b))
+    kernels = {a: _link_kernel(link) for a, link in links.items()}
+    alphas = {}
+    for t in triples:
+        alpha = 0
+        for a in t:
+            kernel = kernels[a]
+            if kernel is None:
+                alpha = 2
+            else:
+                b, c = (x for x in t if x != a)
+                alpha = max(alpha, alpha_capped(
+                    [e for e in kernel if b not in e and c not in e]))
+            if alpha >= 2:
+                break
+        alphas[t] = alpha
+    return alphas
+
+
+def _probe_v3(view: SplitPartition) -> tuple[int, int]:
+    """(v, alpha): the smallest V_3 center whose capped survivor
+    matching is largest, and that capped size."""
+    alphas = _triple_alphas(view)
+    # max keeps the first of equal keys, and v3 is ascending
+    best_v = max(view.v3, key=lambda v: alphas[view.indep_neighbors(v)])
+    return best_v, alphas[view.indep_neighbors(best_v)]
 
 
 def solve_1split(pi: PrunedInstance) -> tuple[int, ...]:
@@ -227,18 +288,7 @@ def _solve_3split_impl(
     if not check_k14_free_3split(view):
         raise ValueError("solve_3split needs a K_{1,4}-free reduced graph")
     n = view.graph.n
-    best_v: int | None = None
-    best_alpha = -1
-    # V_3 can be a constant fraction of the clique, so the probe works on
-    # raw survivor pairs instead of building a graph per center.
-    v3_triples = [(v, view.indep_neighbors(v)) for v in view.v3]
-    for v in view.v3:  # ascending; strict improvement keeps the smallest id
-        banned = set(view.indep_neighbors(v))
-        alpha = alpha_capped(_survivor_pairs(v3_triples, v, banned))
-        if alpha > best_alpha:
-            best_alpha, best_v = alpha, v
-            if best_alpha == 2:  # alpha(M) caps at 2; no center can beat it
-                break
+    best_v, best_alpha = _probe_v3(view)
     alpha_m2: int | None = None
     chosen: int | None
     if best_alpha >= 1:

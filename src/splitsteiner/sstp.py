@@ -250,8 +250,8 @@ def serialize_instance(inst: SteinerInstance) -> str:
     """Canonical SSTP text for an instance (1-based, sorted, newline-terminated)."""
     g = inst.graph
     lines = [f"p sstp {g.n} {g.m} {len(inst.terminals)}"]
-    for u, v in g.edges():
-        lines.append(f"e {u + 1} {v + 1}")
+    src, dst = g.edge_arrays()
+    lines += [f"e {u} {v}" for u, v in zip((src + 1).tolist(), (dst + 1).tolist())]
     for u in inst.terminals:
         lines.append(f"t {u + 1}")
     return "\n".join(lines) + "\n"

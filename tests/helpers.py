@@ -3,13 +3,18 @@
 Everything here is deliberately naive: bitmask adjacency, exhaustive
 enumeration, recursion. No code is shared with the package beyond the
 Graph constructors at the edges of tests, so agreement between the two
-sides is meaningful.
+sides is meaningful. The one exception is reference_probe, which keeps
+the package's alpha_capped (checked against brute_matching in
+test_matching) so that it stays the probe the solver used to run.
 """
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
+import numpy as np
+
 from splitsteiner import Graph, NotSplitError, SstpParseError, SteinerInstance
+from splitsteiner.matching import alpha_capped
 
 
 def masks_from_graph(g: Graph) -> list[int]:
@@ -257,3 +262,66 @@ def reference_parse(text: str) -> SteinerInstance:
         return SteinerInstance(graph=graph, terminals=tuple(terminals))
     except ValueError as exc:  # terminals were checked above: not connected
         raise SstpParseError(str(exc)) from exc
+
+
+def _survivor_pairs(v3_triples: list[tuple[int, tuple[int, ...]]],
+                    v: int, banned: set[int]) -> list[tuple[int, int]]:
+    """Labeled-graph edges left after dropping the I-neighborhood of v.
+
+    Once the K_{1,4}-freeness check has passed, every clique vertex's
+    neighborhood meets banned, so a surviving pair can only be another
+    three-neighbor center's triple losing exactly one vertex."""
+    out = []
+    for u, xs in v3_triples:
+        if u == v:
+            continue
+        rest = [x for x in xs if x not in banned]
+        if len(rest) == 2:
+            out.append((rest[0], rest[1]))
+    return out
+
+
+def reference_alpha(view, v: int) -> int:
+    """min(alpha, 2) of the matching left for V_3 center v, from the
+    survivor pairs of every other center."""
+    v3_triples = [(u, view.indep_neighbors(u)) for u in view.v3]
+    return alpha_capped(_survivor_pairs(v3_triples, v, set(view.indep_neighbors(v))))
+
+
+def reference_probe(view) -> tuple[int, int]:
+    """The O(|V_3|^2) V_3 probe that the solver's link-graph probe
+    replaced, kept as its reference: every center in ascending order
+    against the survivor pairs of all other centers, stopping at the
+    first capped matching of 2. Returns (center, capped alpha)."""
+    best_v = None
+    best_alpha = -1
+    for v in view.v3:  # ascending; strict improvement keeps the smallest id
+        alpha = reference_alpha(view, v)
+        if alpha > best_alpha:
+            best_alpha, best_v = alpha, v
+            if best_alpha == 2:  # alpha(M) caps at 2; no center can beat it
+                break
+    return best_v, best_alpha
+
+
+def adversarial_instance(k: int, seed: int) -> SteinerInstance:
+    """The K_(1,4)-free 3-split family on which every V_3 center keeps
+    alpha(M) = 1, with a clique of k, randomly relabeled.
+
+    Clique vertex i sees {x_p, x_q, leaf_i}, where {x_p, x_q} cycles
+    through the 2-subsets of {x1, x2, x3}; any two of those meet, so the
+    triples pairwise intersect. The survivors of one triple form a star,
+    so a probe that stops at alpha 2 has to try every center. Terminals:
+    the independent side.
+    """
+    iu, ju = np.triu_indices(k, 1)
+    centers = np.arange(k)
+    pairs = np.array([(0, 1), (0, 2), (1, 2)])[centers % 3]
+    cross = [np.column_stack((centers, k + pairs[:, 0])),
+             np.column_stack((centers, k + pairs[:, 1])),
+             np.column_stack((centers, k + 3 + centers))]
+    edges = np.concatenate([np.column_stack((iu, ju))] + cross)
+    n = 2 * k + 3
+    perm = np.random.default_rng(seed).permutation(n)
+    return SteinerInstance(graph=Graph.from_edges(n, perm[edges]),
+                           terminals=tuple(perm[k:].tolist()))

@@ -36,6 +36,7 @@ from splitsteiner import (
 )
 from splitsteiner.cli import main
 from helpers import (
+    adversarial_instance,
     brute_find_star,
     brute_matching,
     brute_steiner_min,
@@ -80,6 +81,19 @@ def test_criterion_1_oracle_equivalence():
                 assert verify_solution(inst, res.steiner_set)
                 count += 1
                 mixes_seen.add(mix)
+    # the family on which every V_3 center keeps alpha(M) = 1
+    for k in range(4, 13):
+        base = adversarial_instance(k, seed=k)
+        assert split_partition(base.graph).delta_i == 3
+        for mix, terms in _terminal_mixes(base):
+            inst = SteinerInstance(graph=base.graph, terminals=terms)
+            res = solve(inst)
+            if mix == "terminals=I":
+                assert (res.trace.regime, res.trace.alpha_m) == ("3-split", 1)
+            orc = brute_force_steiner(inst, universe="clique-only")
+            assert res.size == orc.min_size, (k, mix)
+            assert verify_solution(inst, res.steiner_set)
+            count += 1
     elapsed = time.perf_counter() - t0
     assert count >= 500
     assert levels_seen == {1, 2, 3}

@@ -1,7 +1,9 @@
 import ast
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import splitsteiner.solver
 from splitsteiner import (
@@ -25,7 +27,16 @@ from splitsteiner import (
     verify_solution,
 )
 from splitsteiner.cli import main
-from helpers import brute_steiner_min, graph_from_masks, set_connected
+from splitsteiner.solver import _probe_v3, _triple_alphas
+from splitsteiner.split import SplitPartition
+from helpers import (
+    adversarial_instance,
+    brute_steiner_min,
+    graph_from_masks,
+    reference_alpha,
+    reference_probe,
+    set_connected,
+)
 
 REGIMES = {"empty", "1-split", "2-split", "3-split", "claw-free", "exact-fallback"}
 
@@ -287,6 +298,88 @@ def test_3split_regime_reachable_in_small_graphs():
     sp = split_partition(HUB)
     assert sp.delta_i == 3 and find_induced_star(sp, 4) is None
     assert solve(inst).trace.regime == "3-split"
+
+
+@st.composite
+def v3_families(draw):
+    """Pairwise intersecting triples over a ground set of at most 14, some
+    repeated under a second clique id. With hubs, most triples are forced
+    through one hub or both, so a hub's link graph reaches 3- and
+    4-matchings, or a star too wide for the kernel to keep whole."""
+    ground = draw(st.integers(3, 14))
+    hubs = draw(st.lists(st.integers(0, ground - 1), max_size=2, unique=True))
+    size = draw(st.integers(1, 80))
+    raw = draw(st.lists(
+        st.tuples(st.lists(st.integers(0, ground - 1), min_size=3, max_size=3,
+                           unique=True),
+                  st.sampled_from(((0,), (1,), (0, 1), ())), st.booleans()),
+        min_size=size, max_size=size))
+    family: list[tuple[int, ...]] = []
+    for xs, through, repeat in raw:
+        forced = list(dict.fromkeys(hubs[i % len(hubs)] for i in through)) if hubs else []
+        xs = forced + [x for x in xs if x not in forced]
+        t = tuple(sorted(xs[:3]))
+        if all(set(t) & set(u) for u in family):
+            family.append(t)
+            if repeat:
+                family.append(t)
+    return family
+
+
+def _family_view(family: list[tuple[int, ...]]) -> SplitPartition:
+    """The split graph with clique vertex i seeing family[i] (independent
+    vertex x is k + x, x < 14), as a view with that clique."""
+    k = len(family)
+    n_i = {i: tuple(k + x for x in t) for i, t in enumerate(family)}
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges += [(i, x) for i, xs in n_i.items() for x in xs]
+    independent = tuple(sorted({x for xs in n_i.values() for x in xs}))
+    g = Graph.from_edges(k + 14, edges)
+    return SplitPartition.from_neighbor_map(g, tuple(range(k)), independent, n_i)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v3_families())
+# in the link of 1, vertex 5 has three edges leaving the greedy cover
+# {0, 5, 6, 7}; a kernel that kept two of them would misjudge a triple
+@example([(1, 5, 6), (1, 3, 5), (1, 4, 5), (0, 1, 7), (1, 2, 5), (1, 4, 6), (0, 1, 3)])
+def test_v3_probe_matches_reference(family):
+    view = _family_view(family)
+    assert _probe_v3(view) == reference_probe(view)
+    alphas = _triple_alphas(view)
+    for v in view.v3:
+        assert alphas[view.indep_neighbors(v)] == reference_alpha(view, v), v
+
+
+def test_v3_probe_matches_reference_on_generator_shapes():
+    """Every K_{1,4}-free level-3 shape, as split_partition and prune hand
+    it to the solver; the four (alpha_m, alpha_m2) outcomes show that each
+    shape was drawn."""
+    outcomes = set()
+    for a, b in ((4, 7), (6, 8), (9, 10), (12, 9)):
+        for seed in range(25):
+            inst = gen_split(GeneratorConfig(clique_size=a, independent_size=b,
+                                             level=3, k14_free=True, seed=seed))
+            sp = split_partition(inst.graph)
+            for view in (sp, prune(inst, sp).view):
+                if view.delta_i == 3:
+                    assert _probe_v3(view) == reference_probe(view), (a, b, seed)
+            trace = solve(inst).trace
+            outcomes.add((trace.alpha_m, trace.alpha_m2 == 3))
+    # hub, petals, twohub, tripod
+    assert outcomes == {(0, False), (0, True), (1, False), (2, False)}
+
+
+def test_v3_probe_is_linear():
+    """The adversarial family keeps alpha at 1 on every center, which made
+    the old probe rescan all of V_3 per center."""
+    sp = split_partition(adversarial_instance(2000, 5).graph)
+    assert len(sp.v3) == 2000
+    t0 = time.perf_counter()
+    probe = _probe_v3(sp)
+    elapsed = time.perf_counter() - t0
+    assert probe[1] == 1
+    assert elapsed < 1.0
 
 
 def test_invariant_violation_raises(tmp_path, capsys, monkeypatch):
