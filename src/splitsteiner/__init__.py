@@ -39,8 +39,6 @@ from .structure import (
     LabeledGraph,
     StarWitness,
     build_labeled_graph,
-    check_claw_free_characterization,
-    check_k14_free_3split,
     corresponding_clique_set,
     corresponding_vertex_set,
     find_induced_star,
@@ -81,8 +79,6 @@ __all__ = [
     "bfs_tree",
     "brute_force_steiner",
     "build_labeled_graph",
-    "check_claw_free_characterization",
-    "check_k14_free_3split",
     "corresponding_clique_set",
     "corresponding_vertex_set",
     "find_induced_star",

@@ -51,7 +51,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "tree_edges": [[u + 1, v + 1] for u, v in res.tree_edges],
         "regime": res.trace.regime,
         "alpha_m": res.trace.alpha_m,
-        "optimal": res.optimal,
     }
     if args.json:
         _emit(payload)

@@ -41,8 +41,6 @@ from .split import SplitPartition, split_partition
 from .sstp import SteinerInstance
 from .structure import (
     build_labeled_graph,
-    check_claw_free_characterization,
-    check_k14_free_3split,
     corresponding_clique_set,
     corresponding_vertex_set,
     find_induced_star,
@@ -77,7 +75,6 @@ class SteinerResult:
     steiner_set: tuple[int, ...]
     tree_edges: tuple[tuple[int, int], ...]
     trace: SolveTrace
-    optimal: bool = True
 
     @property
     def size(self) -> int:
@@ -152,11 +149,14 @@ def _check_disjoint(a: set[int], b: set[int]) -> None:
         raise InvariantError(f"vertex sets overlap at {sorted(a & b)}")
 
 
-def _covered_by(view: SplitPartition, chosen: set[int]) -> set[int]:
-    out: set[int] = set()
-    for v in chosen:
-        out.update(view.indep_neighbors(v))
-    return out
+def _cover(view: SplitPartition, s1: set[int]) -> tuple[int, ...]:
+    """s1 plus the smallest clique neighbor of every terminal that s1
+    leaves uncovered, sorted."""
+    covered = {x for v in s1 for x in view.indep_neighbors(v)}
+    s2 = set(corresponding_clique_set(
+        view, [u for u in view.independent if u not in covered]))
+    _check_disjoint(s1, s2)
+    return tuple(sorted(s1 | s2))
 
 
 def _link_kernel(link: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
@@ -250,21 +250,13 @@ def solve_claw_free(pi: PrunedInstance) -> tuple[int, ...]:
         return corresponding_clique_set(view, view.independent)
     if len(view.independent) > 3:
         raise ValueError("claw-free 2-split graphs have at most 3 I-vertices")
-    x = min(v for v in view.clique if view.indep_degree(v) == 2)
-    rest = [u for u in view.independent if u not in view.indep_neighbors(x)]
-    s = {x} | set(corresponding_clique_set(view, rest))
-    return tuple(sorted(s))
+    return _cover(view, {min(v for v in view.clique if view.indep_degree(v) == 2)})
 
 
 def _solve_2split_impl(view: SplitPartition) -> tuple[tuple[int, ...], int]:
     lg = build_labeled_graph(view)
     p = maximum_matching(_edge_graph(view.graph.n, lg.labeled_edges))
-    s1 = set(corresponding_vertex_set(lg, p.edges))
-    covered = _covered_by(view, s1)
-    rest = [u for u in view.independent if u not in covered]
-    s2 = set(corresponding_clique_set(view, rest))
-    _check_disjoint(s1, s2)
-    s = tuple(sorted(s1 | s2))
+    s = _cover(view, set(corresponding_vertex_set(lg, p.edges)))
     if len(s) != len(view.independent) - p.size:
         raise InvariantError(
             f"2-split answer has {len(s)} vertices, expected "
@@ -282,11 +274,8 @@ def solve_2split(pi: PrunedInstance) -> tuple[int, ...]:
 
 def _solve_3split_impl(
         view: SplitPartition) -> tuple[tuple[int, ...], int, int | None, int | None]:
-    """Returns (S, alpha_m, alpha_m2, chosen_v3_vertex)."""
-    if view.delta_i != 3:
-        raise ValueError(f"solve_3split needs delta_i == 3, got {view.delta_i}")
-    if not check_k14_free_3split(view):
-        raise ValueError("solve_3split needs a K_{1,4}-free reduced graph")
+    """Returns (S, alpha_m, alpha_m2, chosen_v3_vertex). Needs a
+    K_{1,4}-free view with delta_i == 3."""
     n = view.graph.n
     best_v, best_alpha = _probe_v3(view)
     alpha_m2: int | None = None
@@ -319,11 +308,7 @@ def _solve_3split_impl(
         else:
             chosen = view.v3[0]
             s1 = {chosen}
-    covered = _covered_by(view, s1)
-    rest = [u for u in view.independent if u not in covered]
-    s2 = set(corresponding_clique_set(view, rest))
-    _check_disjoint(s1, s2)
-    s = tuple(sorted(s1 | s2))
+    s = _cover(view, s1)
     n_i1 = len(view.independent)
     if not n_i1 - 4 <= len(s) <= n_i1 - 2:
         raise InvariantError(
@@ -336,6 +321,10 @@ def solve_3split(pi: PrunedInstance) -> tuple[int, ...]:
     """K_{1,4}-free 3-split instances: try each three-terminal center
     v in V_3 with a matching on the rest; with no useful center, a
     3-matching avoiding V_3 still saves a vertex when it exists."""
+    if pi.view.delta_i != 3:
+        raise ValueError(f"solve_3split needs delta_i == 3, got {pi.view.delta_i}")
+    if find_induced_star(pi.view, 4) is not None:
+        raise ValueError("solve_3split needs a K_{1,4}-free reduced graph")
     return _solve_3split_impl(pi.view)[0]
 
 
@@ -382,7 +371,7 @@ def solve(inst: SteinerInstance, *, exact_fallback: bool = False,
         s: tuple[int, ...] = solve_1split(pi)
         trace = SolveTrace(regime="1-split")
     elif d == 2:
-        if len(i1) <= 3 and check_claw_free_characterization(view):
+        if len(i1) <= 3 and find_induced_star(view, 3) is None:
             s = solve_claw_free(pi)
             trace = SolveTrace(regime="claw-free")
         else:

@@ -85,24 +85,20 @@ def _partition_from_clique(g: Graph, clique: list[int]) -> SplitPartition:
 
 
 def _validate_candidate(g: Graph, clique: list[int]) -> bool:
-    """Cheap complete check that (clique, rest) is a split partition with a
-    maximal clique. Runs in O(n + independent-side degree sum)."""
+    """Complete check that (clique, rest) is a split partition with a
+    maximal clique, from degrees in O(n).
+
+    With k = |C| and I the rest, sum_C deg - sum_I deg = 2e(C) - 2e(I),
+    which is k(k-1) iff e(C) = C(k,2) and e(I) = 0. Once I is
+    independent, an I-vertex of degree k sees all of C.
+    """
     k = len(clique)
     in_c = np.zeros(g.n, dtype=bool)
     in_c[clique] = True
     degs = g.degrees()
-    cross = 0
-    for x in range(g.n):
-        if in_c[x]:
-            continue
-        nb = g.neighbors(x)
-        if nb.size and not bool(np.all(in_c[nb])):
-            return False  # edge inside the independent side
-        cross += int(nb.size)
-        if int(nb.size) == k:
-            return False  # adjacent to the whole clique: not maximal
-    clique_deg_sum = int(degs[in_c].sum()) if k else 0
-    return clique_deg_sum - cross == k * (k - 1)
+    rest = degs[~in_c]
+    return (int(degs[in_c].sum()) == k * (k - 1) + int(rest.sum())
+            and not bool((rest == k).any()))
 
 
 def _resolve_boundary_tie(g: Graph, mandatory: list[int], pool: list[int],

@@ -8,9 +8,13 @@ neighborhood tests per clique vertex:
   * d_I(v) == r-1 plus a clique vertex w missing all of N_I(v) gives a
     star whose last leaf is w.
 
-check_claw_free_characterization and check_k14_free_3split specialize
-this to r=3 and r=4 through pairwise neighborhood-intersection conditions,
-which is what the Steiner solvers dispatch on.
+find_induced_star is the package's one K_{1,r} test. The paper's two
+characterizations are its cases: a graph with delta_i <= 2 is claw-free
+iff every clique vertex with two independent neighbors shares one of
+them with every other clique vertex (r = 3), and a 3-split graph is
+K_{1,4}-free iff the same holds for every clique vertex with three
+(r = 4). Neither needs the clique to be maximal, so the solvers ask it
+about pruned views too.
 
 The labeled graph M of a view with d_I <= 2 has the independent set as
 its vertices and one edge {a, b} per pair sharing a clique neighbor; the
@@ -93,50 +97,6 @@ def find_induced_star(sp: SplitPartition, r: int) -> StarWitness | None:
             if w is not None:
                 return StarWitness(center=v, leaves=tuple(n_i) + (w,))
     return None
-
-
-def check_claw_free_characterization(sp: SplitPartition) -> bool:
-    """Claw-freeness test for a connected split graph.
-
-    True iff delta_i <= 1, or delta_i == 2 and every clique vertex with
-    two independent neighbors shares an independent neighbor with every
-    other clique vertex.
-    """
-    if sp.delta_i <= 1:
-        return True
-    if sp.delta_i >= 3:
-        return False
-    clique_arr = np.asarray(sp.clique, dtype=np.int64)
-    pair_memo: dict[tuple[int, ...], bool] = {}
-    for u in sp.clique:
-        pair = sp.indep_neighbors(u)
-        if len(pair) != 2:
-            continue
-        if pair not in pair_memo:
-            pair_memo[pair] = _coverage_gap(sp.graph, clique_arr, pair) is None
-        if not pair_memo[pair]:
-            return False
-    return True
-
-
-def check_k14_free_3split(sp: SplitPartition) -> bool:
-    """K_{1,4}-freeness of a 3-split graph.
-
-    True iff every clique vertex with three independent neighbors shares
-    an independent neighbor with every other clique vertex. Requires
-    delta_i == 3.
-    """
-    if sp.delta_i != 3:
-        raise ValueError(f"expected a 3-split partition, got delta_i={sp.delta_i}")
-    clique_arr = np.asarray(sp.clique, dtype=np.int64)
-    triple_memo: dict[tuple[int, ...], bool] = {}
-    for u in sp.v3:
-        triple = sp.indep_neighbors(u)
-        if triple not in triple_memo:
-            triple_memo[triple] = _coverage_gap(sp.graph, clique_arr, triple) is None
-        if not triple_memo[triple]:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 LAUNCHER = "import sys; from splitsteiner.cli import main; sys.exit(main())"
 
 P3 = "p sstp 3 2 2\ne 1 2\ne 2 3\nt 1\nt 3\n"
-P3_GOLDEN = ('{"alpha_m": null, "optimal": true, "regime": "1-split", '
+P3_GOLDEN = ('{"alpha_m": null, "regime": "1-split", '
              '"size": 1, "steiner_set": [2], "tree_edges": [[1, 2], [2, 3]]}')
 C4 = "p sstp 4 4 2\ne 1 2\ne 2 3\ne 3 4\ne 1 4\nt 1\nt 3\n"
 CLAW = "p sstp 4 3 0\ne 1 2\ne 1 3\ne 1 4\n"
@@ -141,7 +141,7 @@ def test_solve_hard_instance_exit_3(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["size"] == 2
     assert payload["regime"] == "exact-fallback"
-    assert payload["optimal"] is True
+    assert "optimal" not in payload
 
 
 def test_reduce_x3c_report_and_sidecar(tmp_path, capsys):

@@ -224,7 +224,6 @@ def test_k14_fallback():
     res = solve(inst, exact_fallback=True)
     assert res.trace.regime == "exact-fallback"
     assert res.steiner_set == (0,)
-    assert res.optimal
     _check_tree(inst, res)
 
 
@@ -248,6 +247,14 @@ def test_dispatch_guards():
         solve_2split(pi3)
     with pytest.raises(ValueError, match="delta_i >= 3"):
         solve_claw_free(pi3)
+
+    # pruning keeps 1 for terminal 5, so the K_{1,4} 0-{1,2,3,4} survives
+    star = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)])
+    pi4 = prune(SteinerInstance(graph=star, terminals=(2, 3, 4, 5)),
+                split_partition(star))
+    assert pi4.view.delta_i == 3
+    with pytest.raises(ValueError, match=r"K_\{1,4\}-free"):
+        solve_3split(pi4)
 
 
 def test_claw_free_rejects_wide_instances():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitsteiner import Graph, NotSplitError, split_partition
+from splitsteiner.split import _validate_candidate
 from helpers import (
     assert_obstruction_is_real,
     brute_is_split,
@@ -102,6 +103,26 @@ def test_every_graph_up_to_6_vertices():
             else:
                 assert brute_is_split(masks), (n, edges)
                 _partition_invariants(g, sp)
+
+
+def test_validate_candidate_from_degrees():
+    """The degree-sum check accepts exactly the (clique, rest) pairs with
+    a complete, maximal clique and an independent rest, on every graph
+    and every candidate side up to 5 vertices."""
+    for n in range(1, 6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for sub in range(1 << len(pairs)):
+            edges = [pairs[i] for i in range(len(pairs)) if sub >> i & 1]
+            g = Graph.from_edges(n, edges)
+            masks = masks_from_graph(g)
+            for side in range(1 << n):
+                clique = [v for v in range(n) if side >> v & 1]
+                rest = [v for v in range(n) if not side >> v & 1]
+                want = (all(masks[u] >> v & 1 for u, v in combinations(clique, 2))
+                        and not any(masks[u] >> v & 1
+                                    for u, v in combinations(rest, 2))
+                        and not any(masks[x] & side == side for x in rest))
+                assert _validate_candidate(g, clique) == want, (n, edges, clique)
 
 
 def test_partition_is_deterministic(corpus7):

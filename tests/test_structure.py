@@ -5,16 +5,20 @@ import pytest
 from splitsteiner import (
     Graph,
     LabeledGraph,
+    SteinerInstance,
     build_labeled_graph,
-    check_claw_free_characterization,
-    check_k14_free_3split,
     corresponding_clique_set,
     corresponding_vertex_set,
     find_induced_star,
+    prune,
     restrict_view,
     split_partition,
 )
-from helpers import brute_find_star, graph_from_masks, masks_from_graph
+from helpers import (
+    brute_find_star,
+    graph_from_masks,
+    set_connected,
+)
 
 # clique {0,1,2}; 3,4 share 0; 4,5 share 1
 TRI_HOST = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2),
@@ -46,7 +50,6 @@ def test_claw_via_clique_leaf():
     w = find_induced_star(sp, 3)
     assert w is not None
     _assert_star_is_real(TRI_HOST, w, 3)
-    assert not check_claw_free_characterization(sp)
 
 
 def test_star_requires_r_at_least_3():
@@ -61,7 +64,6 @@ def test_characterization_positive_2split():
                              (0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5)])
     sp = split_partition(g)
     assert sp.delta_i == 2
-    assert check_claw_free_characterization(sp)
     assert find_induced_star(sp, 3) is None
 
 
@@ -77,14 +79,36 @@ def test_corpus_star_search_and_characterizations(corpus7):
             assert (w is None) == (brute is None), (n, masks, r)
             if w is not None:
                 _assert_star_is_real(g, w, r)
-        assert check_claw_free_characterization(sp) == \
-            (brute_find_star(masks, 3) is None), (n, masks)
-        if sp.delta_i == 3:
-            assert check_k14_free_3split(sp) == \
-                (brute_find_star(masks, 4) is None), (n, masks)
-        else:
-            with pytest.raises(ValueError):
-                check_k14_free_3split(sp)
+
+
+def test_star_search_on_pruned_views(corpus7):
+    """The solvers ask find_induced_star about pruned views; compare with
+    exhaustive search on the subgraph a view induces. Dropping a clique
+    vertex adds views whose clique is not maximal."""
+    views = 0
+    for n, masks in corpus7[::3]:
+        if not set_connected(masks, range(n)):
+            continue
+        g = graph_from_masks(n, masks)
+        sp = split_partition(g)
+        terminal_sets = (sp.independent, sp.independent[1:],
+                         tuple(sorted(set(sp.independent[::2]) | {0})))
+        for view in [prune(SteinerInstance(graph=g, terminals=t), sp).view
+                     for t in terminal_sets] + [
+                         restrict_view(sp, drop_clique=sp.clique[-1:])]:
+            keep = view.clique + view.independent
+            pos = {v: i for i, v in enumerate(keep)}
+            sub = [sum(1 << pos[w] for w in pos if masks[v] >> w & 1)
+                   for v in keep]
+            for r in (3, 4):
+                w = find_induced_star(view, r)
+                assert (w is None) == (brute_find_star(sub, r) is None), \
+                    (n, masks, view.clique, view.independent, r)
+                if w is not None:
+                    assert {w.center, *w.leaves} <= set(keep)
+                    _assert_star_is_real(g, w, r)
+            views += 1
+    assert views > 2000
 
 
 def test_restrict_view_recomputes_structure():
