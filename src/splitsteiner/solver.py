@@ -108,40 +108,38 @@ def prune(inst: SteinerInstance, sp: SplitPartition) -> PrunedInstance:
         if v in r_set:
             s3_set.add(v)
             s3_set.update(sp.indep_neighbors(v))
-    s3 = sorted(s3_set)
 
     clique_terminals = [v for v in sp.clique if v in r_set]
     anchor = clique_terminals[0] if clique_terminals else None
-    c1 = [v for v in sp.clique if v not in s2_set and v not in s3_set]
+    c1 = {v for v in sp.clique if v not in s2_set and v not in s3_set}
     i1 = [x for x in sp.independent if x not in s1_set and x not in s3_set]
-
-    while len(i1) >= 2:
-        c1_set = set(c1)
-        promoted = None
-        for u in i1:
-            if sum(1 for w in g.neighbor_list(u) if w in c1_set) == len(c1):
-                promoted = u
-                break
-        if promoted is None:
-            break
-        i1.remove(promoted)
-        s3.append(promoted)
+    # promotion leaves c1 as it is, so the promotable terminals are known
+    # up front; they go in ascending order until one terminal is left
+    promoted = [u for u in i1 if c1 <= set(g.neighbor_list(u))][:len(i1) - 1]
+    if promoted:
+        s3_set.update(promoted)
+        i1 = [x for x in i1 if x not in s3_set]
         if anchor is None:
-            anchor = promoted
+            anchor = promoted[0]
 
     view = restrict_view(sp, drop_clique=s2_set | s3_set,
-                         drop_indep=s1_set | set(s3))
+                         drop_indep=s1_set | s3_set)
     terminals = tuple(i1)
     if view.independent != terminals:
         raise InvariantError("pruning left a non-terminal independent vertex")
     return PrunedInstance(view=view, terminals=terminals,
                           removed_s1=tuple(s1), removed_s2=tuple(s2),
-                          removed_s3=tuple(sorted(s3)),
+                          removed_s3=tuple(sorted(s3_set)),
                           clique_terminal_anchor=anchor)
 
 
-def _edge_graph(n: int, labeled: tuple[tuple[int, int, int], ...]) -> Graph:
-    return Graph.from_edges(n, [(a, b) for a, b, _ in labeled])
+def _matched_labels(view: SplitPartition) -> tuple[set[int], int]:
+    """Labels of a maximum matching in the labeled graph of view, one
+    clique vertex per matched terminal pair, and the matching's size."""
+    lg = build_labeled_graph(view)
+    p = maximum_matching(Graph.from_edges(
+        view.graph.n, [(a, b) for a, b, _ in lg.labeled_edges]))
+    return set(corresponding_vertex_set(lg, p.edges)), p.size
 
 
 def _check_disjoint(a: set[int], b: set[int]) -> None:
@@ -254,14 +252,13 @@ def solve_claw_free(pi: PrunedInstance) -> tuple[int, ...]:
 
 
 def _solve_2split_impl(view: SplitPartition) -> tuple[tuple[int, ...], int]:
-    lg = build_labeled_graph(view)
-    p = maximum_matching(_edge_graph(view.graph.n, lg.labeled_edges))
-    s = _cover(view, set(corresponding_vertex_set(lg, p.edges)))
-    if len(s) != len(view.independent) - p.size:
+    labels, alpha = _matched_labels(view)
+    s = _cover(view, labels)
+    if len(s) != len(view.independent) - alpha:
         raise InvariantError(
             f"2-split answer has {len(s)} vertices, expected "
-            f"|I1| - alpha(M) = {len(view.independent) - p.size}")
-    return s, p.size
+            f"|I1| - alpha(M) = {len(view.independent) - alpha}")
+    return s, alpha
 
 
 def solve_2split(pi: PrunedInstance) -> tuple[int, ...]:
@@ -276,34 +273,28 @@ def _solve_3split_impl(
         view: SplitPartition) -> tuple[tuple[int, ...], int, int | None, int | None]:
     """Returns (S, alpha_m, alpha_m2, chosen_v3_vertex). Needs a
     K_{1,4}-free view with delta_i == 3."""
-    n = view.graph.n
     best_v, best_alpha = _probe_v3(view)
     alpha_m2: int | None = None
     chosen: int | None
     if best_alpha >= 1:
         # K_{1,4}-freeness leaves every clique vertex at most two
         # independent neighbors once those of best_v are dropped
-        lg = build_labeled_graph(
+        labels, alpha_m = _matched_labels(
             restrict_view(view, drop_indep=view.indep_neighbors(best_v)))
-        p1 = maximum_matching(_edge_graph(n, lg.labeled_edges))
-        if p1.size != best_alpha:
+        if alpha_m != best_alpha:
             raise InvariantError(
-                f"matching at center {best_v} has size {p1.size}, "
+                f"matching at center {best_v} has size {alpha_m}, "
                 f"the probe found {best_alpha}")
-        s1 = {best_v} | set(corresponding_vertex_set(lg, p1.edges))
+        s1 = {best_v} | labels
         chosen = best_v
-        alpha_m = p1.size
     else:
         alpha_m = 0
-        h2 = restrict_view(view, drop_clique=view.v3)
-        lg2 = build_labeled_graph(h2)
-        p2 = maximum_matching(_edge_graph(n, lg2.labeled_edges))
+        labels, alpha_m2 = _matched_labels(restrict_view(view, drop_clique=view.v3))
         # every M2 edge touches the neighborhood of any V_3 vertex
-        if p2.size > 3:
-            raise InvariantError(f"matching avoiding V_3 has size {p2.size} > 3")
-        alpha_m2 = p2.size
-        if p2.size == 3:
-            s1 = set(corresponding_vertex_set(lg2, p2.edges))
+        if alpha_m2 > 3:
+            raise InvariantError(f"matching avoiding V_3 has size {alpha_m2} > 3")
+        if alpha_m2 == 3:
+            s1 = labels
             chosen = None
         else:
             chosen = view.v3[0]

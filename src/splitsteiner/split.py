@@ -6,10 +6,22 @@ graph is split iff
 
     sum_{i<=k} d_i == k(k-1) + sum_{i>k} d_i,
 
-in which case k vertices of largest degree form a maximum clique and the
-rest are independent. The returned partition therefore always has a
-maximum (hence maximal) clique side. Ties at the degree boundary can admit
-several valid cliques; we return the lexicographically smallest one.
+in which case any k vertices of largest degree form a maximum clique
+and the rest are independent, however ties at the boundary degree are
+broken. Let K be such k vertices and R the rest:
+
+  1. sum_K d - sum_R d = 2e(K) - 2e(R), which the identity sets to
+     k(k-1); so e(K) = C(k,2) and e(R) = 0.
+  2. An R-vertex seeing all of K would have degree k, so d_{k+1} >= k,
+     against the maximality of k; so K is a maximal clique.
+  3. Every valid clique side has size omega = k and, by the identity in
+     1, the degree sum of K, so it is the vertices above the boundary
+     degree plus h of those at it. The stable degree order puts the
+     smallest ids first among equal degrees, so its first k vertices are
+     the lexicographically smallest valid clique side.
+
+Recognising a split graph thus reads only degrees, and the rows of the
+independent vertices to list their clique neighbours.
 
 A non-split graph is certified by shrinking it. Split graphs are closed
 under induced subgraphs, and by Foldes and Hammer the minimal non-split
@@ -101,37 +113,6 @@ def _validate_candidate(g: Graph, clique: list[int]) -> bool:
             and not bool((rest == k).any()))
 
 
-def _resolve_boundary_tie(g: Graph, mandatory: list[int], pool: list[int],
-                          h: int) -> list[int] | None:
-    """Pick h pool vertices completing `mandatory` to a valid clique side.
-
-    Boundary ties only occur when pool degrees equal k-1, so an included
-    vertex is adjacent to exactly the rest of the clique. That forces each
-    valid inclusion set S to equal {t} | (N(t) & pool) for every t in S,
-    which leaves at most |pool| candidate sets to test. Returns the
-    lexicographically smallest valid one, or None.
-    """
-    mset = set(mandatory)
-    pset = set(pool)
-    if h == 0:
-        return [] if _validate_candidate(g, mandatory) else None
-    best: list[int] | None = None
-    seen: set[tuple[int, ...]] = set()
-    for t in sorted(pool):
-        nb = set(g.neighbor_list(t))
-        if not (mset <= nb and nb <= mset | pset):
-            continue
-        cand = sorted({t} | (nb & pset))
-        key = tuple(cand)
-        if key in seen or len(cand) != h:
-            continue
-        seen.add(key)
-        if _validate_candidate(g, mandatory + cand):
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
 def _degree_test(degs: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Hammer-Simeone test on a degree array.
 
@@ -211,26 +192,15 @@ def _witness(alive: list[int], edges: list[tuple[int, int]]) -> NotSplitError:
 def split_partition(g: Graph) -> SplitPartition:
     """Canonical split partition of g, or raise NotSplitError.
 
-    The clique side is a maximum clique; among valid choices the
-    lexicographically smallest clique vertex set is returned, so the
-    result is deterministic. Works on disconnected graphs too.
+    The clique side is the first k vertices of the degree order (degree
+    descending, id ascending): by the module docstring's argument it is
+    a maximum clique, and the lexicographically smallest valid one, so
+    the result is deterministic. Works on disconnected and empty graphs.
     """
-    if g.n == 0:
-        return _partition_from_clique(g, [])
-    degs = g.degrees()
-    order, k, split = _degree_test(degs)
+    order, k, split = _degree_test(g.degrees())
     if not split:
         raise _certificate(g)
-    dk = degs[order[k - 1]]
-    mandatory = np.flatnonzero(degs > dk).tolist()
-    pool = np.flatnonzero(degs == dk).tolist()
-    h = k - len(mandatory)
-    if h == len(pool):
-        clique = sorted(mandatory + pool)
-        if not _validate_candidate(g, clique):
-            raise InvariantError("degree test passed but partition invalid")
-        return _partition_from_clique(g, clique)
-    chosen = _resolve_boundary_tie(g, mandatory, pool, h)
-    if chosen is None:
-        raise InvariantError("degree test passed but no tie resolution found")
-    return _partition_from_clique(g, sorted(mandatory + chosen))
+    clique = sorted(order[:k].tolist())
+    if not _validate_candidate(g, clique):
+        raise InvariantError("degree test passed but partition invalid")
+    return _partition_from_clique(g, clique)

@@ -182,6 +182,70 @@ def reference_obstruction(g: Graph) -> NotSplitError:
     raise AssertionError("non-split graph without 2K2/C4/C5 obstruction")
 
 
+def _is_split_side(masks: list[int], clique: list[int]) -> bool:
+    """clique is complete and maximal, and the rest is independent."""
+    side = sum(1 << v for v in clique)
+    rest = [x for x in range(len(masks)) if not side >> x & 1]
+    return (all(masks[u] & side == side & ~(1 << u) for u in clique)
+            and not any(masks[x] & ~side for x in rest)
+            and not any(masks[x] & side == side for x in rest))
+
+
+def _resolve_boundary_tie(masks: list[int], mandatory: list[int],
+                          pool: list[int], h: int) -> list[int] | None:
+    """Pick h pool vertices completing `mandatory` to a valid clique side.
+
+    Boundary ties only occur when pool degrees equal k-1, so an included
+    vertex is adjacent to exactly the rest of the clique. That forces each
+    valid inclusion set S to equal {t} | (N(t) & pool) for every t in S,
+    which leaves at most |pool| candidate sets to test. Returns the
+    lexicographically smallest valid one, or None.
+    """
+    mset = set(mandatory)
+    pset = set(pool)
+    if h == 0:
+        return [] if _is_split_side(masks, mandatory) else None
+    best: list[int] | None = None
+    seen: set[tuple[int, ...]] = set()
+    for t in sorted(pool):
+        nb = {v for v in range(len(masks)) if masks[t] >> v & 1}
+        if not (mset <= nb and nb <= mset | pset):
+            continue
+        cand = sorted({t} | (nb & pset))
+        key = tuple(cand)
+        if key in seen or len(cand) != h:
+            continue
+        seen.add(key)
+        if _is_split_side(masks, mandatory + cand):
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def reference_split_clique(g: Graph) -> tuple[int, ...]:
+    """The clique side split_partition chose before it took the first k
+    vertices of the degree order, kept as its reference: the vertices
+    above the boundary degree, completed by a search over the rows of
+    those at it for the lexicographically smallest valid clique. g must
+    be split."""
+    masks = masks_from_graph(g)
+    degs = [bin(row).count("1") for row in masks]
+    order = sorted(range(g.n), key=lambda v: -degs[v])
+    k = sum(1 for i, v in enumerate(order) if degs[v] >= i)
+    if k == 0:
+        return ()
+    dk = degs[order[k - 1]]
+    mandatory = [v for v in range(g.n) if degs[v] > dk]
+    pool = [v for v in range(g.n) if degs[v] == dk]
+    h = k - len(mandatory)
+    if h == len(pool):
+        chosen = pool if _is_split_side(masks, mandatory + pool) else None
+    else:
+        chosen = _resolve_boundary_tie(masks, mandatory, pool, h)
+    assert chosen is not None, "no valid clique side: g is not split"
+    return tuple(sorted(mandatory + chosen))
+
+
 def reference_parse(text: str) -> SteinerInstance:
     """The line-by-line SSTP parser that parse_instance replaced, kept as
     its differential reference. Only _int changed: a number is 1 to 18

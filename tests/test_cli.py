@@ -216,8 +216,8 @@ def test_check_large_non_split_does_not_hang(tmp_path, capsys, kind, c):
                          ids=["boundary-tie", "whole-pool"])
 def test_check_invariant_violation_exits_1(tmp_path, capsys, monkeypatch, text):
     """A failed recognition invariant is an error line and exit 1, not a
-    traceback: the claw resolves a degree tie, the triangle takes its
-    whole top-degree pool."""
+    traceback. Both inputs reach the one guard after the degree test: the
+    claw with a tie at the boundary degree, the triangle without one."""
     monkeypatch.setattr("splitsteiner.split._validate_candidate",
                         lambda g, clique: False)
     path = _write(tmp_path, "g.sstp", text)

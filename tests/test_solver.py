@@ -125,6 +125,27 @@ def test_prune_keeps_last_two_terminals():
     _check_tree(inst, res)
 
 
+def test_prune_promotion_stops_with_one_left():
+    # clique {0,1,2}; 3 ~ {2} is no terminal, so 2 goes to S2 and the
+    # reduced clique is {0,1}, which all three terminals 4, 5, 6 see.
+    # 0 with leaves 4, 5, 6 and 2 is an induced K_{1,4}: three promotable
+    # terminals need one, so solve() takes the exact fallback
+    g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3),
+                             (0, 4), (1, 4), (0, 5), (1, 5), (0, 6), (1, 6)])
+    inst = SteinerInstance(graph=g, terminals=(4, 5, 6))
+    sp = split_partition(g)
+    assert sp.clique == (0, 1, 2)
+    pi = prune(inst, sp)
+    assert pi.removed_s2 == (2,)
+    assert pi.removed_s3 == (4, 5)
+    assert pi.terminals == (6,)
+    assert pi.clique_terminal_anchor == 4
+    assert pi.view.clique == (0, 1)
+    res = solve(inst, exact_fallback=True)
+    assert res.size == 1
+    _check_tree(inst, res)
+
+
 def test_no_terminals():
     res = solve(SteinerInstance(graph=PROMO, terminals=()))
     assert res.trace.regime == "empty"

@@ -1,6 +1,7 @@
 """Recognition agrees with brute force on every graph up to 6 vertices,
-certificates are verified as genuine induced obstructions, and the
-canonical partition is pinned on small named graphs."""
+certificates are verified as genuine induced obstructions, the canonical
+partition is pinned on small named graphs and matches the boundary-tie
+search it replaced, and recognition reads no clique row."""
 
 from itertools import combinations
 
@@ -8,7 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitsteiner import Graph, NotSplitError, split_partition
+from splitsteiner import (
+    GeneratorConfig,
+    Graph,
+    NotSplitError,
+    gen_split,
+    split_partition,
+)
 from splitsteiner.split import _validate_candidate
 from helpers import (
     assert_obstruction_is_real,
@@ -16,6 +23,8 @@ from helpers import (
     graph_from_masks,
     masks_from_graph,
     reference_obstruction,
+    reference_split_clique,
+    split_corpus,
 )
 
 
@@ -103,6 +112,7 @@ def test_every_graph_up_to_6_vertices():
             else:
                 assert brute_is_split(masks), (n, edges)
                 _partition_invariants(g, sp)
+                assert sp.clique == reference_split_clique(g), (n, edges)
 
 
 def test_validate_candidate_from_degrees():
@@ -123,6 +133,63 @@ def test_validate_candidate_from_degrees():
                                     for u, v in combinations(rest, 2))
                         and not any(masks[x] & side == side for x in rest))
                 assert _validate_candidate(g, clique) == want, (n, edges, clique)
+
+
+@st.composite
+def tied_split_graphs(draw):
+    """A split graph, |C| and |I| up to 40 and ids shuffled, built for
+    ties at the boundary degree. Either clique vertex c* = 0 has no
+    cross edges and at least one I-vertex sees exactly C - c*, so both
+    have degree |C| - 1 and tie; or cross edges are sparse, so ties are
+    common."""
+    a = draw(st.integers(min_value=1, max_value=40))
+    b = draw(st.integers(min_value=1, max_value=40))
+    n = a + b
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = {(u, v) for u in range(a) for v in range(u + 1, a)}
+    if draw(st.booleans()):
+        twins = draw(st.integers(min_value=1, max_value=b))
+        edges |= {(u, x) for u in range(1, a) for x in range(a, a + twins)}
+        density = draw(st.floats(min_value=0.0, max_value=1.0))
+        # the other I-vertices miss c* too, so none sees all of C
+        edges |= {(u, x) for u in range(1, a) for x in range(a + twins, n)
+                  if rng.random() < density}
+    else:
+        density = draw(st.floats(min_value=0.0, max_value=0.1))
+        edges |= {(u, x) for u in range(a) for x in range(a, n)
+                  if rng.random() < density}
+    perm = rng.permutation(n)
+    return Graph.from_edges(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
+
+
+@given(tied_split_graphs())
+@settings(max_examples=150, deadline=None)
+def test_degree_order_matches_tie_search(g):
+    sp = split_partition(g)
+    _partition_invariants(g, sp)
+    assert sp.clique == reference_split_clique(g)
+
+
+def test_recognition_reads_no_clique_row(monkeypatch):
+    """split_partition on a split graph reads degrees and the rows of
+    independent vertices, never the row of a clique vertex."""
+    graphs = [Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])]  # K_{1,3}
+    graphs += [graph_from_masks(n, masks) for n, masks in split_corpus(5)]
+    graphs += [gen_split(GeneratorConfig(clique_size=12, independent_size=10,
+                                         level=level, seed=seed)).graph
+               for level in (1, 2, 3) for seed in range(3)]
+    read: list[int] = []
+    neighbors = Graph.neighbors
+
+    def spy(self, v):
+        read.append(int(v))
+        return neighbors(self, v)
+
+    monkeypatch.setattr(Graph, "neighbors", spy)
+    for g in graphs:
+        read.clear()
+        sp = split_partition(g)
+        assert not set(read) & set(sp.clique), (g, sp.clique)
 
 
 def test_partition_is_deterministic(corpus7):
