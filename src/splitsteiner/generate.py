@@ -1,10 +1,10 @@
 """Seeded random split-graph generators for the property suites.
 
-Construction-first: each level assembles cross edges that satisfy the
-target maximum independent degree, clique maximality (every I-vertex
-stays short of full clique adjacency) and connectivity by construction;
-split_partition then re-verifies the result, with rejection retries as
-a safety net rather than the main mechanism.
+Each level assembles cross edges that satisfy the target maximum
+independent degree, clique maximality (every I-vertex stays short of
+full clique adjacency) and connectivity by construction, in one attempt.
+split_partition then checks the result, and a miss is a construction
+bug, raised as InvariantError rather than retried.
 
 The K_{1,4}-free 3-split family comes in four shapes, all built around
 a hub c0 adjacent to {x1, x2, x3} with every other clique vertex
@@ -290,26 +290,24 @@ def gen_split(cfg: GeneratorConfig) -> SteinerInstance:
     """Connected split graph at the requested level, terminals = I.
 
     Deterministic per seed. Infeasible size combinations raise
-    GeneratorError immediately; verification misses retry with fresh
-    randomness up to a fixed budget.
+    GeneratorError; a construction that split_partition and the K_{1,4}
+    check do not confirm raises InvariantError.
     """
     a, b = cfg.clique_size, cfg.independent_size
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(20):
-        if cfg.level == 1:
-            cross = _cross_level1(rng, a, b, cfg.edge_density)
-        elif cfg.level == 2:
-            cross = _cross_level2(rng, a, b, cfg.edge_density)
-        elif cfg.k14_free:
-            cross = _cross_level3_k14(rng, a, b, cfg.edge_density)
-        else:
-            cross = _cross_level3_free(rng, a, b, cfg.edge_density)
-        inst = _assemble(a, b, cross)
-        sp = split_partition(inst.graph)
-        if sp.delta_i != cfg.level:
-            continue
-        if cfg.k14_free and find_induced_star(sp, 4) is not None:
-            continue
-        return inst
-    raise GeneratorError(
-        "rejection budget exhausted: construction kept failing verification")
+    if cfg.level == 1:
+        cross = _cross_level1(rng, a, b, cfg.edge_density)
+    elif cfg.level == 2:
+        cross = _cross_level2(rng, a, b, cfg.edge_density)
+    elif cfg.k14_free:
+        cross = _cross_level3_k14(rng, a, b, cfg.edge_density)
+    else:
+        cross = _cross_level3_free(rng, a, b, cfg.edge_density)
+    inst = _assemble(a, b, cross)
+    sp = split_partition(inst.graph)
+    if sp.delta_i != cfg.level:
+        raise InvariantError(
+            f"level-{cfg.level} construction built a graph of level {sp.delta_i}")
+    if cfg.k14_free and find_induced_star(sp, 4) is not None:
+        raise InvariantError("K_(1,4)-free construction built an induced K_(1,4)")
+    return inst

@@ -94,7 +94,6 @@ def prune(inst: SteinerInstance, sp: SplitPartition) -> PrunedInstance:
     any clique vertex of the final solution, so at least one more
     terminal must stay behind to force such a vertex into S.
     """
-    g = inst.graph
     r_set = set(inst.terminals)
     s1 = [x for x in sp.independent if x not in r_set]
     s1_set = set(s1)
@@ -115,7 +114,7 @@ def prune(inst: SteinerInstance, sp: SplitPartition) -> PrunedInstance:
     i1 = [x for x in sp.independent if x not in s1_set and x not in s3_set]
     # promotion leaves c1 as it is, so the promotable terminals are known
     # up front; they go in ascending order until one terminal is left
-    promoted = [u for u in i1 if c1 <= set(g.neighbor_list(u))][:len(i1) - 1]
+    promoted = [u for u in i1 if c1 <= set(sp.clique_neighbors(u))][:len(i1) - 1]
     if promoted:
         s3_set.update(promoted)
         i1 = [x for x in i1 if x not in s3_set]
@@ -138,7 +137,7 @@ def _matched_labels(view: SplitPartition) -> tuple[set[int], int]:
     clique vertex per matched terminal pair, and the matching's size."""
     lg = build_labeled_graph(view)
     p = maximum_matching(Graph.from_edges(
-        view.graph.n, [(a, b) for a, b, _ in lg.labeled_edges]))
+        view.n, [(a, b) for a, b, _ in lg.labeled_edges]))
     return set(corresponding_vertex_set(lg, p.edges)), p.size
 
 
@@ -248,7 +247,8 @@ def solve_claw_free(pi: PrunedInstance) -> tuple[int, ...]:
         return corresponding_clique_set(view, view.independent)
     if len(view.independent) > 3:
         raise ValueError("claw-free 2-split graphs have at most 3 I-vertices")
-    return _cover(view, {min(v for v in view.clique if view.indep_degree(v) == 2)})
+    return _cover(view, {min(v for v in view.clique
+                             if len(view.indep_neighbors(v)) == 2)})
 
 
 def _solve_2split_impl(view: SplitPartition) -> tuple[tuple[int, ...], int]:
@@ -320,13 +320,14 @@ def solve_3split(pi: PrunedInstance) -> tuple[int, ...]:
 
 
 def solve(inst: SteinerInstance, *, exact_fallback: bool = False,
-          fallback_budget: int = 20,
-          oracle_budget: int = 2_000_000) -> SteinerResult:
+          fallback_budget: int = 20) -> SteinerResult:
     """Full pipeline; see the module docstring.
 
     exact_fallback sends instances with an induced K_{1,4} to the
     brute-force oracle instead of raising, provided at most
     fallback_budget non-terminal clique vertices remain to search over.
+    The oracle keeps its default subset budget, above the 2**20 subsets
+    of the default fallback_budget.
     """
     g = inst.graph
     sp = split_partition(g)  # NotSplitError propagates
@@ -339,8 +340,7 @@ def solve(inst: SteinerInstance, *, exact_fallback: bool = False,
         if exact_fallback:
             pool = [v for v in sp.clique if v not in r_set]
             if len(pool) <= fallback_budget:
-                orc = brute_force_steiner(inst, universe="clique-only",
-                                          budget=oracle_budget)
+                orc = brute_force_steiner(inst, universe="clique-only")
                 tree = _tree_edges(g, set(orc.witness) | r_set)
                 return SteinerResult(tuple(orc.witness), tree,
                                      SolveTrace(regime="exact-fallback"))

@@ -48,39 +48,48 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class SplitPartition:
-    """A (clique, independent) split of a graph's vertices.
+    """A (clique, independent) split of the vertices 0..n-1 of a graph.
 
     The clique side is maximal when split_partition returns the
     partition; the reduced views of structure.restrict_view need not be.
     delta_i is the maximum number of independent-set neighbors over clique
     vertices; v3 lists the clique vertices with exactly three. Vertex ids
-    are host-graph ids throughout.
+    are host-graph ids throughout. The partition holds the edges between
+    its two sides, which are all the solvers read of the graph.
     """
 
-    graph: Graph = field(repr=False, compare=False)
+    n: int
     clique: tuple[int, ...]
     independent: tuple[int, ...]
     delta_i: int
     v3: tuple[int, ...]
     _n_i: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
+    _n_c: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
 
     @classmethod
-    def from_neighbor_map(cls, graph: Graph, clique: tuple[int, ...],
+    def from_neighbor_map(cls, n: int, clique: tuple[int, ...],
                           independent: tuple[int, ...],
                           n_i: dict[int, tuple[int, ...]]) -> "SplitPartition":
-        """Partition whose delta_i and v3 are read off n_i, which maps
-        each clique vertex with independent neighbors to them, sorted."""
+        """Partition whose delta_i, v3 and clique neighbors are read off
+        n_i, which maps each clique vertex with independent neighbors to
+        them, sorted."""
         delta_i = max((len(xs) for xs in n_i.values()), default=0)
         v3 = tuple(sorted(v for v, xs in n_i.items() if len(xs) == 3))
-        return cls(graph=graph, clique=clique, independent=independent,
-                   delta_i=delta_i, v3=v3, _n_i=n_i)
+        n_c: dict[int, list[int]] = {}
+        for v in sorted(n_i):  # ascending, so each list comes out sorted
+            for x in n_i[v]:
+                n_c.setdefault(x, []).append(v)
+        return cls(n=n, clique=clique, independent=independent,
+                   delta_i=delta_i, v3=v3, _n_i=n_i,
+                   _n_c={x: tuple(vs) for x, vs in n_c.items()})
 
     def indep_neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted independent-set neighbors of clique vertex v."""
         return self._n_i.get(v, ())
 
-    def indep_degree(self, v: int) -> int:
-        return len(self._n_i.get(v, ()))
+    def clique_neighbors(self, x: int) -> tuple[int, ...]:
+        """Sorted clique neighbors of independent vertex x."""
+        return self._n_c.get(x, ())
 
 
 def _partition_from_clique(g: Graph, clique: list[int]) -> SplitPartition:
@@ -92,7 +101,7 @@ def _partition_from_clique(g: Graph, clique: list[int]) -> SplitPartition:
             buckets.setdefault(int(w), []).append(x)
     # xs ascending: the outer loop runs in ascending x
     n_i = {v: tuple(xs) for v, xs in buckets.items()}
-    return SplitPartition.from_neighbor_map(g, tuple(sorted(clique)),
+    return SplitPartition.from_neighbor_map(g.n, tuple(sorted(clique)),
                                             tuple(independent), n_i)
 
 

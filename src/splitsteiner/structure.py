@@ -27,9 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-import numpy as np
-
-from .graph import Graph
 from .split import SplitPartition
 
 
@@ -56,20 +53,7 @@ def restrict_view(src: SplitPartition,
             xs = tuple(x for x in xs if x not in di)
         if xs:
             n_i[v] = xs
-    return SplitPartition.from_neighbor_map(src.graph, clique, independent, n_i)
-
-
-def _coverage_gap(g: Graph, clique_arr: np.ndarray,
-                  indep_vertices: tuple[int, ...]) -> int | None:
-    """Smallest clique vertex with no neighbor among indep_vertices, or
-    None when every clique vertex has one."""
-    mask = np.zeros(g.n, dtype=bool)
-    for x in indep_vertices:
-        mask[g.neighbors(x)] = True
-    vals = mask[clique_arr]
-    if vals.all():
-        return None
-    return int(clique_arr[int(np.argmin(vals))])
+    return SplitPartition.from_neighbor_map(src.n, clique, independent, n_i)
 
 
 def find_induced_star(sp: SplitPartition, r: int) -> StarWitness | None:
@@ -83,17 +67,18 @@ def find_induced_star(sp: SplitPartition, r: int) -> StarWitness | None:
         raise ValueError("induced-star search needs r >= 3")
     if sp.delta_i <= r - 2:
         return None
-    clique_arr = np.asarray(sp.clique, dtype=np.int64)
-    gap_memo: dict[tuple[int, ...], int | None] = {}
+    gaps: dict[tuple[int, ...], int | None] = {}
     for v in sp.clique:
         n_i = sp.indep_neighbors(v)
         d = len(n_i)
         if d >= r:
             return StarWitness(center=v, leaves=tuple(n_i[:r]))
         if d == r - 1:
-            if n_i not in gap_memo:
-                gap_memo[n_i] = _coverage_gap(sp.graph, clique_arr, n_i)
-            w = gap_memo[n_i]
+            if n_i not in gaps:
+                seen = set().union(*map(sp.clique_neighbors, n_i))
+                gaps[n_i] = None if len(seen) == len(sp.clique) else min(
+                    w for w in sp.clique if w not in seen)
+            w = gaps[n_i]
             if w is not None:
                 return StarWitness(center=v, leaves=tuple(n_i) + (w,))
     return None
@@ -157,14 +142,10 @@ def corresponding_clique_set(sp: SplitPartition,
     """Smallest clique neighbor of each given independent vertex,
     deduplicated and sorted. Raises ValueError when a vertex has no
     neighbor inside the view's clique."""
-    clique_set = set(sp.clique)
     out: set[int] = set()
     for u in sorted(set(vertices)):
-        for w in sp.graph.neighbors(u):
-            wi = int(w)
-            if wi in clique_set:
-                out.add(wi)
-                break
-        else:
+        ws = sp.clique_neighbors(u)
+        if not ws:
             raise ValueError(f"vertex {u} has no clique neighbor in the view")
+        out.add(ws[0])
     return tuple(sorted(out))

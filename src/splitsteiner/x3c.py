@@ -12,11 +12,18 @@ j-1, the l-th triple (0-based) is vertex 3q + l.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import X3CParseError
 from .graph import Graph
 from .sstp import SteinerInstance
+
+# the .sstp grammar: ASCII line breaks, ASCII blanks between tokens, and
+# every number 1 to 18 ASCII digits
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
+_BLANKS = " \t\x1f"
+_UINT = re.compile(r"[0-9]{1,18}")
 
 
 @dataclass(frozen=True)
@@ -53,41 +60,41 @@ class X3CInstance:
 
 def parse_x3c(text: str) -> X3CInstance:
     """Parse the x3c format: `x3c <3q> <n>` then n lines `c <a> <b> <c>`,
-    1-indexed; blank lines and `#` comments are skipped."""
+    1-indexed; blank lines and `#` comments are skipped. Lines, tokens
+    and numbers follow the .sstp grammar (see sstp)."""
     header: tuple[int, int] | None = None
     triples: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
     ground = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
+        line = raw.strip(_BLANKS)
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
+        parts = re.split(f"[{_BLANKS}]+", line)
+        numeric = all(_UINT.fullmatch(p) for p in parts[1:])
         if parts[0] == "x3c":
             if header is not None:
                 raise X3CParseError("duplicate header", line=lineno)
             if len(parts) != 3:
                 raise X3CParseError("header must be 'x3c <3q> <n>'", line=lineno)
-            try:
-                ground, count = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise X3CParseError("non-integer header field", line=lineno) from None
+            if parts[2][:1] == "-" and _UINT.fullmatch(parts[2][1:]):
+                raise X3CParseError("negative triple count", line=lineno)
+            if not numeric:
+                raise X3CParseError("non-integer header field", line=lineno)
+            ground, count = int(parts[1]), int(parts[2])
             if ground < 3 or ground % 3 != 0:
                 raise X3CParseError(
                     f"ground size {ground} is not a positive multiple of 3",
                     line=lineno)
-            if count < 0:
-                raise X3CParseError("negative triple count", line=lineno)
             header = (ground, count)
         elif parts[0] == "c":
             if header is None:
                 raise X3CParseError("triple line before header", line=lineno)
             if len(parts) != 4:
                 raise X3CParseError("triple line must be 'c <a> <b> <c>'", line=lineno)
-            try:
-                elems = tuple(int(p) for p in parts[1:])
-            except ValueError:
-                raise X3CParseError("non-integer element", line=lineno) from None
+            if not numeric:
+                raise X3CParseError("non-integer element", line=lineno)
+            elems = tuple(int(p) for p in parts[1:])
             if len(set(elems)) != 3:
                 raise X3CParseError(f"triple {elems} has repeated elements",
                                     line=lineno)

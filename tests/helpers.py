@@ -29,16 +29,28 @@ def graph_from_masks(n: int, masks: list[int]) -> Graph:
 
 def brute_find_star(masks: list[int], r: int):
     """First induced K_(1,r): (center, leaves) or None. Tries every
-    center and every r-subset of its neighborhood."""
+    center; its leaves are extended in ascending order, each only by a
+    neighbor of the center adjacent to no leaf chosen so far, so the
+    first witness is the first independent r-subset in lexicographic
+    order."""
     n = len(masks)
+
+    def extend(cands: list[int], leaves: tuple[int, ...]):
+        if len(leaves) == r:
+            return leaves
+        # stop while fewer candidates are left than leaves are missing
+        for i in range(len(cands) - (r - len(leaves)) + 1):
+            v = cands[i]
+            found = extend([w for w in cands[i + 1:] if not masks[v] >> w & 1],
+                           leaves + (v,))
+            if found is not None:
+                return found
+        return None
+
     for c in range(n):
-        nb = [v for v in range(n) if masks[c] >> v & 1]
-        if len(nb) < r:
-            continue
-        for leaves in combinations(nb, r):
-            if all(not masks[leaves[i]] >> leaves[j] & 1
-                   for i in range(r) for j in range(i + 1, r)):
-                return c, leaves
+        leaves = extend([v for v in range(n) if masks[c] >> v & 1], ())
+        if leaves is not None:
+            return c, leaves
     return None
 
 

@@ -1,8 +1,10 @@
 import pytest
 
+from splitsteiner import generate
 from splitsteiner import (
     GeneratorConfig,
     GeneratorError,
+    InvariantError,
     brute_force_steiner,
     find_induced_star,
     gen_split,
@@ -85,6 +87,15 @@ def test_density_extremes_keep_invariants(density):
 def test_infeasible_sizes(cfg_kwargs, match):
     with pytest.raises(GeneratorError, match=match):
         gen_split(GeneratorConfig(**cfg_kwargs))
+
+
+def test_construction_miss_raises(monkeypatch):
+    """A construction that misses its level is a bug: gen_split raises
+    instead of retrying with fresh randomness."""
+    monkeypatch.setattr(generate, "_cross_level2", generate._cross_level1)
+    with pytest.raises(InvariantError, match="level-2 construction built "
+                                             "a graph of level 1"):
+        gen_split(GeneratorConfig(clique_size=6, independent_size=4, level=2))
 
 
 @pytest.mark.parametrize("a, b, gap", [

@@ -73,6 +73,11 @@ TWOHUB = Graph.from_edges(9, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
 
 K14 = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
 
+# clique {0,1,2}; 0~{3,4,5,6}, 1~{3}, 2~{7}: an induced K_{1,5} at 0 whose
+# last leaf is 2
+K15 = Graph.from_edges(8, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (0, 5),
+                           (0, 6), (1, 3), (2, 7)])
+
 
 def _check_tree(inst, res):
     members = set(res.steiner_set) | set(inst.terminals)
@@ -144,6 +149,52 @@ def test_prune_promotion_stops_with_one_left():
     res = solve(inst, exact_fallback=True)
     assert res.size == 1
     _check_tree(inst, res)
+
+
+def test_stages_after_recognition_read_no_host_row(monkeypatch):
+    """The K_{1,r} test, prune and every regime solver read the cross
+    edges from the partition, never a row of the host graph."""
+    insts = [SteinerInstance(graph=g, terminals=t) for g, t in (
+        (PROMO, (3, 4)), (CLAWFREE2, (3, 4, 5)), (HUB, (0, 3, 5, 6)),
+        (K15, (3, 7)))]
+    for level, k14 in ((1, False), (2, False), (3, False), (3, True)):
+        for seed in range(3):
+            inst = gen_split(GeneratorConfig(clique_size=7, independent_size=7,
+                                             level=level, k14_free=k14, seed=seed))
+            insts.append(inst)
+            insts.append(SteinerInstance(graph=inst.graph,
+                                         terminals=inst.terminals[::2] + (0,)))
+    solvers = {1: [solve_1split], 2: [solve_2split], 3: [solve_3split]}
+    host: list[Graph | None] = [None]
+    read: list[int] = []
+    neighbors = Graph.neighbors
+
+    def spy(self, v):
+        if self is host[0]:
+            read.append(int(v))
+        return neighbors(self, v)
+
+    monkeypatch.setattr(Graph, "neighbors", spy)
+    ran = set()
+    stars = 0
+    for inst in insts:
+        sp = split_partition(inst.graph)
+        host[0] = inst.graph
+        stars += sum(find_induced_star(sp, r) is not None for r in (3, 4, 5))
+        if find_induced_star(sp, 4) is None:
+            pi = prune(inst, sp)
+            view = pi.view
+            regime = list(solvers.get(view.delta_i, []))
+            if (view.delta_i <= 2 and len(view.independent) <= 3
+                    and find_induced_star(view, 3) is None):
+                regime.append(solve_claw_free)
+            for f in regime:
+                f(pi)
+                ran.add(f.__name__)
+        host[0] = None
+        assert read == [], (inst.terminals, read)
+    assert stars > 0
+    assert ran == {"solve_1split", "solve_2split", "solve_3split", "solve_claw_free"}
 
 
 def test_no_terminals():
@@ -359,11 +410,8 @@ def _family_view(family: list[tuple[int, ...]]) -> SplitPartition:
     vertex x is k + x, x < 14), as a view with that clique."""
     k = len(family)
     n_i = {i: tuple(k + x for x in t) for i, t in enumerate(family)}
-    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
-    edges += [(i, x) for i, xs in n_i.items() for x in xs]
     independent = tuple(sorted({x for xs in n_i.values() for x in xs}))
-    g = Graph.from_edges(k + 14, edges)
-    return SplitPartition.from_neighbor_map(g, tuple(range(k)), independent, n_i)
+    return SplitPartition.from_neighbor_map(k + 14, tuple(range(k)), independent, n_i)
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from splitsteiner import (
+    GeneratorConfig,
     Graph,
     LabeledGraph,
     SteinerInstance,
@@ -10,6 +11,7 @@ from splitsteiner import (
     corresponding_clique_set,
     corresponding_vertex_set,
     find_induced_star,
+    gen_split,
     prune,
     restrict_view,
     split_partition,
@@ -18,6 +20,7 @@ from helpers import (
     brute_find_star,
     graph_from_masks,
     set_connected,
+    split_corpus,
 )
 
 # clique {0,1,2}; 3,4 share 0; 4,5 share 1
@@ -121,6 +124,36 @@ def test_restrict_view_recomputes_structure():
     # dropping the busy host leaves a 1-split view
     v2 = restrict_view(sp, drop_clique=(1,), drop_indep=(5,))
     assert v2.delta_i == 2 and v2.indep_neighbors(0) == (3, 4)
+
+
+def test_clique_neighbors_are_host_cross_edges():
+    """A view's clique_neighbors(x) is x's host row cut down to the view's
+    clique for each of its independent vertices, and empty otherwise: on
+    every split graph up to 6 vertices, a reduced view of each, and the
+    pruned views of generated instances."""
+    cases = []
+    for n, masks in split_corpus(6):
+        g = graph_from_masks(n, masks)
+        sp = split_partition(g)
+        cases += [(g, sp), (g, restrict_view(sp, drop_clique=sp.clique[:1],
+                                             drop_indep=sp.independent[:1]))]
+    for level, k14 in ((1, False), (2, False), (3, False), (3, True)):
+        for seed in range(4):
+            g = gen_split(GeneratorConfig(clique_size=7, independent_size=7,
+                                          level=level, k14_free=k14,
+                                          seed=seed)).graph
+            sp = split_partition(g)
+            for t in (sp.independent,
+                      tuple(sorted(set(sp.independent[::2]) | {sp.clique[0]}))):
+                cases.append((g, prune(SteinerInstance(graph=g, terminals=t),
+                                       sp).view))
+    for g, view in cases:
+        for x in range(g.n):
+            want = [int(w) for w in g.neighbors(x) if int(w) in view.clique]
+            if x not in view.independent:
+                want = []
+            assert list(view.clique_neighbors(x)) == want, \
+                (view.clique, view.independent, x)
 
 
 def test_labeled_graph_pinned():

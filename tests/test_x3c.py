@@ -65,6 +65,11 @@ def test_serialize_roundtrip():
     ("x3c 6 1\nc 1 2 9\n", "outside ground set", 2),
     ("x3c 6 1\nq 1 2 3\n", "unrecognized line", 2),
     ("x3c 6 2\nc 1 2 3\nc 3 2 1\n", "duplicate triple", 3),
+    # the .sstp integer grammar: 1 to 18 ASCII digits, ASCII blanks
+    ("x3c 6 1\nc +1 2 3\n", "non-integer element", 2),
+    ("x3c +3 1\n", "non-integer header", 1),
+    ("x3c 6 1\nc \u0661 2 3\n", "non-integer element", 2),
+    ("x3c 6 1\nc 1 2\u00a03\n", "triple line must be", 2),
 ])
 def test_parse_errors(text, match, line):
     with pytest.raises(X3CParseError, match=match) as exc:
