@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import NotK14FreeError, NotSplitError, SplitSteinerError
@@ -23,7 +22,7 @@ from .generate import GeneratorConfig, gen_split
 from .oracle import brute_force_steiner, verify_solution
 from .solver import solve
 from .split import split_partition
-from .sstp import parse_instance, serialize_instance
+from .sstp import SteinerInstance, parse_instance, serialize_instance
 from .structure import find_induced_star
 from .x3c import parse_x3c, reduce_x3c
 
@@ -34,12 +33,18 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _read_instance(path: str) -> SteinerInstance:
+    # the parser checks the bytes are UTF-8 chunk by chunk, so the file
+    # is held once, as bytes, and never as text
+    return parse_instance(Path(path).read_bytes())
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    inst = parse_instance(_read(args.input))
+    inst = _read_instance(args.input)
     res = solve(inst, exact_fallback=args.exact_fallback)
     if not verify_solution(inst, res.steiner_set, res.tree_edges):
         raise SplitSteinerError(
@@ -64,7 +69,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    inst = parse_instance(_read(args.input))
+    inst = _read_instance(args.input)
     try:
         sp = split_partition(inst.graph)
     except NotSplitError as exc:
@@ -102,7 +107,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    inst = parse_instance(_read(args.input))
+    inst = _read_instance(args.input)
     universe = _UNIVERSE_FLAG[args.universe]
     res = brute_force_steiner(inst, universe=universe, budget=args.budget)
     _emit({
@@ -150,7 +155,7 @@ def _bench_one(job: tuple[str, int, bool]) -> dict:
     path, repeat, exact_fallback = job
     name = Path(path).name
     try:
-        inst = parse_instance(Path(path).read_text(encoding="utf-8"))
+        inst = _read_instance(path)
         best = None
         res = None
         for _ in range(max(1, repeat)):
@@ -178,6 +183,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     jobs = [(str(p), args.repeat, args.exact_fallback) for p in paths]
     workers = min(args.workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool costs every other command start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_bench_one, jobs))
     else:

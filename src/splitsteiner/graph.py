@@ -53,19 +53,23 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         # one sorted key per orientation: row-major order is CSR order,
-        # and a repeated edge shows up as two equal neighbouring keys
-        keys = np.concatenate([src * n + dst, dst * n + src])
+        # and a repeated edge shows up as two equal neighbouring keys;
+        # each half is written in place, with no pair-sized temporary
+        m = len(pairs)
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(src, n, out=keys[:m], dtype=np.int64)
+        keys[:m] += dst
+        np.multiply(dst, n, out=keys[m:], dtype=np.int64)
+        keys[m:] += src
         del pairs, src, dst
         keys.sort()
         same = np.flatnonzero(keys[1:] == keys[:-1])
         if same.size:
             u, v = divmod(int(keys[same[0]]), n)
             raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        if n:
-            np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-            keys %= n
-        return cls(n, indptr, keys.astype(np.int32))
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        indices = np.remainder(keys, max(n, 1), out=np.empty(2 * m, dtype=np.int32))
+        return cls(n, indptr, indices)
 
     @classmethod
     def from_csr(cls, n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
@@ -131,9 +135,10 @@ class Graph:
 
 
 def _as_pairs(edges: np.ndarray | Iterable[tuple[int, int]]) -> np.ndarray:
-    """Edges as an (m, 2) int64 array; ValueError unless each is a pair."""
+    """Edges as an (m, 2) int32 or int64 array; ValueError unless each is a pair."""
     if isinstance(edges, np.ndarray):
-        pairs = edges.astype(np.int64, copy=False)
+        # int32 rows, as the parser keeps them, are used without a copy
+        pairs = edges if edges.dtype in (np.int32, np.int64) else edges.astype(np.int64)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
     else:

@@ -16,12 +16,22 @@ an underscore (1_0), a non-ASCII digit, a longer number, and non-ASCII
 text such as a no-break space between two ids. A comment line, whose
 first non-blank character is '#', may hold any text.
 
+Parsing is one pass over chunks of the text's UTF-8 bytes, each about
+CHUNK_BYTES long and cut just after a \\n byte. A \\n always ends a line
+and is never part of a \\r\\n pair's first half or of a multi-byte UTF-8
+sequence, so no line, token or character spans two chunks. A chunk is
+tokenized with array operations and checked line by line; only one row of
+ids and a line number per edge and per terminal outlive it. Besides its
+input, the parse holds O(CHUNK_BYTES + m + t) bytes, then O(n + m) to
+build the graph; nothing is sized by the header's counts.
+
 Internally vertices are 0-based. Serialization is canonical: edges sorted
 lexicographically, terminals ascending, no comments.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +40,8 @@ from .errors import SstpParseError
 from .graph import Graph, is_connected
 
 MAX_DIGITS = 18  # 10**18 - 1 < 2**63
+# bytes per chunk of the parse, chosen by measurement (BENCH_sstp_chunked.json)
+CHUNK_BYTES = 1 << 18
 
 
 def _byte_table(members: bytes) -> np.ndarray:
@@ -85,19 +97,51 @@ class SteinerInstance:
             raise ValueError("instance graph is not connected")
 
 
-class _Tokens:
-    """The whitespace-separated tokens of a text, found with array
-    operations over its UTF-8 bytes.
+def _index_dtype(bound: int) -> type:
+    """The narrower integer dtype that holds 0..bound."""
+    return np.int32 if bound < 2**31 else np.int64
 
-    Temporaries are one byte per input byte or a few words per token:
+
+def _cuts(data: bytes) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each chunk of data: the longest prefix of the next
+    CHUNK_BYTES bytes that ends in \\n, or, when that window holds no \\n,
+    everything up to and including the next one (the rest of the data when
+    there is none). A chunk therefore ends a line, and no \\r\\n pair,
+    token or UTF-8 sequence spans two chunks."""
+    start, size = 0, len(data)
+    while start < size:
+        stop = min(start + CHUNK_BYTES, size)
+        if stop < size:
+            cut = data.rfind(b"\n", start, stop)
+            if cut < 0:
+                cut = data.find(b"\n", stop)
+            stop = size if cut < 0 else cut + 1
+        yield start, stop
+        start = stop
+
+
+def _check_utf8(data: bytes, start: int, stop: int) -> None:
+    """Raise what data.decode("utf-8") raises for an invalid sequence in
+    data[start:stop]; chunks end a line, so positions match the whole file's."""
+    try:
+        str(memoryview(data)[start:stop], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnicodeDecodeError(exc.encoding, data, start + exc.start,
+                                 start + exc.end, exc.reason) from None
+
+
+class _Chunk:
+    """The whitespace-separated tokens of one chunk of UTF-8 bytes that
+    begins a line, numbered on from the line0 lines before it.
+
+    Temporaries are one byte per chunk byte or a few words per token:
     token bounds come from flatnonzero on the whitespace edges, line
     numbers from searchsorted on the break positions, and the digit test
     from a logical-or reduction of a per-byte mask over each token.
     """
 
-    def __init__(self, text: str):
-        self.data = data = np.frombuffer(
-            text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    def __init__(self, data: np.ndarray, line0: int):
+        self.data = data
         inside = np.zeros(data.size + 2, dtype=bool)
         np.logical_not(_IS_SPACE[data], out=inside[1:-1])
         bounds = np.flatnonzero(inside[1:] != inside[:-1]).reshape(-1, 2)
@@ -106,7 +150,9 @@ class _Tokens:
         del bounds
         breaks = np.flatnonzero(_IS_BREAK[data])
         crlf = (breaks > 0) & (data[breaks] == ord("\n")) & (data[breaks - 1] == ord("\r"))
-        self.line = np.searchsorted(breaks[~crlf], self.start) + 1
+        breaks = breaks[~crlf]
+        self.line = np.searchsorted(breaks, self.start) + (line0 + 1)
+        self.lines_after = line0 + breaks.size
         del breaks, crlf
         length = self.end - self.start
         # each reduced run goes from one token's start to the next one's;
@@ -127,6 +173,17 @@ class _Tokens:
         end = self.end[first if last is None else last]
         return self.data[self.start[first]:end].tobytes().decode("utf-8", "surrogatepass")
 
+    def statements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(first token, token count, tag) of each line that is not blank
+        or a comment; the tag is the byte of a one-byte first token, else 0."""
+        first = np.flatnonzero(np.diff(self.line, prepend=0))
+        count = np.diff(first, append=self.start.size)
+        lead = self.data[self.start[first]]
+        keep = lead != ord("#")
+        first, count, lead = first[keep], count[keep], lead[keep]
+        tag = np.where(self.end[first] - self.start[first] == 1, lead, 0)
+        return first, count, tag
+
 
 def _repeats(width: int, *cols: np.ndarray) -> np.ndarray:
     """Positions whose row of cols equals a row at an earlier position.
@@ -135,12 +192,14 @@ def _repeats(width: int, *cols: np.ndarray) -> np.ndarray:
     read in base width modulo 2**64; the exact comparison of a stable
     lexicographic sort runs only when two keys agree.
     """
-    key = np.zeros(cols[0].size, dtype=np.uint64)
-    for col in cols:
-        key = key * np.uint64(width) + col.astype(np.uint64)
+    key = cols[0].astype(np.uint64)
+    for col in cols[1:]:
+        key *= np.uint64(width)
+        key += col.astype(np.uint64)
     key.sort()
     if not np.any(key[1:] == key[:-1]):
         return np.zeros(0, dtype=np.int64)
+    del key
     order = np.lexsort(cols[::-1])
     same = np.ones(max(order.size - 1, 0), dtype=bool)
     for col in cols:
@@ -149,70 +208,64 @@ def _repeats(width: int, *cols: np.ndarray) -> np.ndarray:
     return order[1:][same]
 
 
-def _fault(tk: _Tokens, first: int, count: int, template: str) -> SstpParseError:
+def _fault(ck: _Chunk, first: int, count: int, template: str) -> SstpParseError:
     """The error for the line whose tokens are first..first+count-1;
     the template may name the line, its 2nd and 3rd tokens and their values."""
-    fields = {"line": tk.text(first, first + count - 1)}
+    fields = {"line": ck.text(first, first + count - 1)}
     for k in range(1, min(count, 3)):
-        fields[f"tok{k}"] = tk.text(first + k)
-        fields[f"val{k}"] = int(tk.value[first + k])
-    return SstpParseError(template.format(**fields), int(tk.line[first]))
+        fields[f"tok{k}"] = ck.text(first + k)
+        fields[f"val{k}"] = int(ck.value[first + k])
+    return SstpParseError(template.format(**fields), int(ck.line[first]))
 
 
-def _header(tk: _Tokens, first: int, count: int) -> tuple[int, int, int]:
-    """(n, m, t) from the header line; raises for a malformed header or
-    one whose edge count cannot connect n vertices."""
-    if count != 5 or tk.text(first + 1) != "sstp":
-        raise _fault(tk, first, count, "bad header: {line!r}")
+def _header(ck: _Chunk, first: int, count: int, tag: int) -> tuple[int, int, int]:
+    """(n, m, t) from the first line that is not a comment; raises unless
+    it is a well-formed header whose edge count can connect n vertices."""
+    if tag != ord("p"):
+        before = {ord("e"): "edge before header", ord("t"): "terminal before header"}
+        raise _fault(ck, first, count, before.get(tag, _MESSAGES[UNRECOGNIZED]))
+    if count != 5 or ck.text(first + 1) != "sstp":
+        raise _fault(ck, first, count, "bad header: {line!r}")
     counts = []
     for k, what in ((2, "vertex count"), (3, "edge count"), (4, "terminal count")):
-        if not tk.is_int[first + k]:
-            raise SstpParseError(f"{what} is not an integer: {tk.text(first + k)!r}",
-                                 int(tk.line[first]))
-        counts.append(int(tk.value[first + k]))
+        if not ck.is_int[first + k]:
+            raise SstpParseError(f"{what} is not an integer: {ck.text(first + k)!r}",
+                                 int(ck.line[first]))
+        counts.append(int(ck.value[first + k]))
     n, m, t = counts
     if m < n - 1:
         # reject before allocating anything of size n
         raise SstpParseError(
             f"graph is not connected: {m} edges cannot connect {n} vertices",
-            int(tk.line[first]))
+            int(ck.line[first]))
     return n, m, t
 
 
-def parse_instance(text: str) -> SteinerInstance:
-    """Parse SSTP text into a SteinerInstance.
+def _first_repeat(width: int, ids: np.ndarray, lines: np.ndarray,
+                  template: str) -> SstpParseError | None:
+    """The error for the earliest row that repeats an earlier one, if any."""
+    pos = _repeats(width, *ids.T)
+    if not pos.size:
+        return None
+    i = int(pos.min())
+    fields = {f"val{k}": int(x) for k, x in enumerate(ids[i].tolist(), start=1)}
+    return SstpParseError(template.format(**fields), int(lines[i]))
 
-    Raises SstpParseError (with a 1-based line number) on malformed
-    headers, bad ids, self-loops, duplicate edges or terminals, count
-    mismatches, and on disconnected graphs. When several lines are
-    malformed, the first one is reported, with the fault that the checks
-    of its line type (arity, integers, self-loop, range, u < v,
-    duplicate) meet first; a duplicate is reported at its later line.
-    """
-    tk = _Tokens(text)
-    first = np.flatnonzero(np.diff(tk.line, prepend=0))  # first token per line
-    count = np.diff(first, append=tk.start.size)
-    lead = tk.data[tk.start[first]]
-    keep = lead != ord("#")
-    first, count, lead = first[keep], count[keep], lead[keep]
-    if not first.size:
-        raise SstpParseError("missing header")
-    tag = np.where(tk.end[first] - tk.start[first] == 1, lead, 0)
 
-    if tag[0] != ord("p"):
-        before = {ord("e"): "edge before header", ord("t"): "terminal before header"}
-        raise _fault(tk, int(first[0]), int(count[0]),
-                     before.get(int(tag[0]), _MESSAGES[UNRECOGNIZED]))
-    n, m, t = _header(tk, int(first[0]), int(count[0]))
-
-    first, count, tag = first[1:], count[1:], tag[1:]
+def _scan(ck: _Chunk, first: np.ndarray, count: np.ndarray, tag: np.ndarray,
+          n: int, line_type: type) -> tuple:
+    """Check the lines after the header in one chunk, in the order of the
+    line-by-line checks but without the duplicate test. Returns the ids
+    and line numbers of the well-formed edge lines and terminal lines,
+    then the error of the first bad line or None."""
     fault = np.where(tag == ord("p"), DUPLICATE_HEADER, UNRECOGNIZED).astype(np.int8)
-    last_token = tk.start.size - 1
+    last_token = ck.start.size - 1
+    id_type = _index_dtype(n)
 
     def values(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(is_int, value) of the k-th token of each row, read within bounds."""
         tok = np.minimum(first[rows] + k, last_token)
-        return tk.is_int[tok], tk.value[tok]
+        return ck.is_int[tok], ck.value[tok]
 
     e = np.flatnonzero(tag == ord("e"))
     u_int, u = values(e, 1)
@@ -221,27 +274,88 @@ def parse_instance(text: str) -> SteinerInstance:
         [count[e] != 3, ~u_int, ~v_int, u == v,
          (u < 1) | (u > n) | (v < 1) | (v > n), u > v],
         [BAD_EDGE, U_NOT_INT, V_NOT_INT, SELF_LOOP, EDGE_RANGE, EDGE_ORDER], 0)
-    ok = np.flatnonzero(fault[e] == 0)
-    fault[e[ok[_repeats(n + 1, u[ok], v[ok])]]] = DUPLICATE_EDGE
+    ok = fault[e] == 0
+    rows = [np.stack((u[ok], v[ok]), axis=1).astype(id_type),
+            ck.line[first[e[ok]]].astype(line_type)]
 
     r = np.flatnonzero(tag == ord("t"))
     x_int, x = values(r, 1)
     fault[r] = np.select([count[r] != 2, ~x_int, (x < 1) | (x > n)],
                          [BAD_TERMINAL, T_NOT_INT, TERMINAL_RANGE], 0)
-    ok = np.flatnonzero(fault[r] == 0)
-    fault[r[ok[_repeats(n + 1, x[ok])]]] = DUPLICATE_TERMINAL
+    ok = fault[r] == 0
+    rows += [x[ok][:, None].astype(id_type), ck.line[first[r[ok]]].astype(line_type)]
 
     bad = np.flatnonzero(fault)
-    if bad.size:
-        i = bad[0]
-        raise _fault(tk, int(first[i]), int(count[i]), _MESSAGES[int(fault[i])])
-    if e.size != m:
-        raise SstpParseError(f"header promises {m} edges, found {e.size}")
-    if r.size != t:
-        raise SstpParseError(f"header promises {t} terminals, found {r.size}")
-    graph = Graph.from_edges(n, np.stack((u, v), axis=1) - 1)
+    if not bad.size:
+        return *rows, None
+    i = bad[0]
+    return *rows, _fault(ck, int(first[i]), int(count[i]), _MESSAGES[int(fault[i])])
+
+
+def parse_instance(text: str | bytes) -> SteinerInstance:
+    """Parse SSTP text, or the UTF-8 bytes of an SSTP file, into a
+    SteinerInstance.
+
+    Raises SstpParseError (with a 1-based line number) on malformed
+    headers, bad ids, self-loops, duplicate edges or terminals, count
+    mismatches, and on disconnected graphs. When several lines are
+    malformed, the first one is reported, with the fault that the checks
+    of its line type (arity, integers, self-loop, range, u < v,
+    duplicate) meet first; a duplicate is reported at its later line.
+    Bytes that are not UTF-8 raise UnicodeDecodeError, as decoding the
+    whole file first would, before any SstpParseError.
+
+    One pass reads the bytes in chunks (see the module docstring); the
+    duplicate test and the count checks run on the rows kept per chunk,
+    int32 when the ids and line numbers fit, after the last chunk.
+    """
+    strict = not isinstance(text, str)
+    data = text if strict else text.encode("utf-8", "surrogatepass")
+    line_type = _index_dtype(len(data) + 1)
+    header: tuple[int, int, int] | None = None
+    fault: SstpParseError | None = None
+    kept = []  # per chunk: edge ids, their lines, terminal ids, their lines
+    lines_before = 0
+    for start, stop in _cuts(data):
+        if strict:
+            _check_utf8(data, start, stop)
+        if fault is not None:
+            continue  # later lines cannot fail first, but the bytes may
+        ck = _Chunk(np.frombuffer(data, np.uint8, stop - start, start), lines_before)
+        lines_before = ck.lines_after
+        first, count, tag = ck.statements()
+        if header is None and first.size:
+            try:
+                header = _header(ck, int(first[0]), int(count[0]), int(tag[0]))
+            except SstpParseError as exc:
+                fault = exc
+                continue
+            first, count, tag = first[1:], count[1:], tag[1:]
+        if header is not None:
+            *rows, fault = _scan(ck, first, count, tag, header[0], line_type)
+            kept.append(rows)
+        del ck, first, count, tag  # free this chunk before the next is read
+    if header is None:
+        raise fault or SstpParseError("missing header")
+
+    n, m, t = header
+    pairs, pair_lines, x, x_lines = map(np.concatenate, zip(*kept))
+    del kept
+    found = [fault, _first_repeat(n + 1, pairs, pair_lines, _MESSAGES[DUPLICATE_EDGE]),
+             _first_repeat(n + 1, x, x_lines, _MESSAGES[DUPLICATE_TERMINAL])]
+    del pair_lines, x_lines
+    found = [exc for exc in found if exc is not None]
+    if found:
+        raise min(found, key=lambda exc: exc.line)
+    if len(pairs) != m:
+        raise SstpParseError(f"header promises {m} edges, found {len(pairs)}")
+    if len(x) != t:
+        raise SstpParseError(f"header promises {t} terminals, found {len(x)}")
+    pairs -= 1
+    graph = Graph.from_edges(n, pairs)
+    del pairs
     try:
-        return SteinerInstance(graph=graph, terminals=tuple((x - 1).tolist()))
+        return SteinerInstance(graph=graph, terminals=tuple((x[:, 0] - 1).tolist()))
     except ValueError as exc:  # terminals were checked above: not connected
         raise SstpParseError(str(exc)) from exc
 

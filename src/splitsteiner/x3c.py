@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import X3CParseError
 from .graph import Graph
@@ -24,6 +25,8 @@ from .sstp import SteinerInstance
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
 _BLANKS = " \t\x1f"
 _UINT = re.compile(r"[0-9]{1,18}")
+# uncovered ground elements named in reduce_x3c's error
+_LISTED = 10
 
 
 @dataclass(frozen=True)
@@ -130,10 +133,14 @@ def reduce_x3c(x: X3CInstance) -> tuple[SteinerInstance, int]:
     covered: set[int] = set()
     for t in x.triples:
         covered.update(t)
-    missing = [e for e in range(1, x.ground_size + 1) if e not in covered]
-    if missing:
+    uncovered = x.ground_size - len(covered)
+    if uncovered:
+        # the first few, so the work is bounded by the triples, not the header
+        listed = list(islice((e for e in range(1, x.ground_size + 1) if e not in covered),
+                             _LISTED))
+        more = f" and {uncovered - _LISTED} more" if uncovered > _LISTED else ""
         raise ValueError(
-            f"ground elements {missing} appear in no triple; "
+            f"ground elements {listed}{more} appear in no triple; "
             "the reduced graph would be disconnected")
     nz = x.ground_size
     n = nz + len(x.triples)

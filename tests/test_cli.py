@@ -310,7 +310,8 @@ def test_bench_workers_bounded(tmp_path, capsys, monkeypatch, cpus, expected):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr("splitsteiner.cli.ProcessPoolExecutor", RecordingPool)
+    # cmd_bench imports the pool class from concurrent.futures when it runs
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("splitsteiner.cli.os.cpu_count", lambda: cpus)
     _write(tmp_path, "a_p3.sstp", P3)
     _write(tmp_path, "b_ring.sstp", RING)
@@ -361,6 +362,40 @@ def test_console_entry_point(tmp_path):
     run = _run([sys.executable, "-c", LAUNCHER, "solve", "--input", c4])
     assert run.returncode == 2
     assert "not a split graph" in run.stderr
+
+
+def test_cli_import_leaves_process_pool_out():
+    """Only `bench --workers 2` and more need the process pool, so no
+    other command pays for importing it."""
+    run = _run([sys.executable, "-c", "import sys, splitsteiner.cli; "
+                "print('concurrent.futures.process' in sys.modules)"])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_reduce_x3c_huge_ground_size_fails_fast(tmp_path):
+    """A 25-byte file whose header names 10**18 ground elements and no
+    triple costs what the file holds: exit 1 with one error line, in a
+    child limited to 1 GB of address space."""
+    x3c = _write(tmp_path, "huge.x3c", "x3c 999999999999999999 0\n")
+    t0 = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "splitsteiner", "reduce-x3c", "--input", x3c,
+         "--output", str(tmp_path / "huge.sstp")],
+        capture_output=True, text=True, env=_child_env(), timeout=30,
+        preexec_fn=_limit_address_space)
+    assert time.perf_counter() - t0 < 2.0
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr == (
+        "error: ground elements [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and "
+        "999999999999999989 more appear in no triple; "
+        "the reduced graph would be disconnected\n")
 
 
 def test_console_script_declared():

@@ -1,12 +1,18 @@
+import tracemalloc
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from splitsteiner import (
+    GeneratorConfig,
     Graph,
     SstpParseError,
     SteinerInstance,
+    gen_split,
     parse_instance,
     serialize_instance,
+    sstp,
 )
 from helpers import reference_parse
 
@@ -239,3 +245,127 @@ def test_matches_line_by_line_reference(text):
     """The array parser and the line loop it replaced agree on every
     ASCII text: the same instance, or the same line and message."""
     assert _outcome(parse_instance, text) == _outcome(reference_parse, text)
+
+
+# chunk sizes far below any real file's, so every case is cut many times
+CHUNK_SIZES = (1, 7, 64)
+PAD = "# " + "pad " * 20 + "\n"  # a comment longer than the largest of them
+PAD_CRLF = PAD.replace("\n", "\r\n")
+
+CHUNK_CASES = {
+    "crlf-at-cut": "p sstp 3 2 1\r\n" + PAD_CRLF + "e 1 2\r\ne 2 3\r\nt 1\r\n",
+    "crlf-fault": "p sstp 3 2 1\r\ne 1 2\r\n" + PAD_CRLF * 3 + "e 2 2\r\nt 1\r\n",
+    "no-newline": "p sstp 3 2 1\re 1 2\x0be 2 3\x1ct 1",
+    "no-newline-fault": "p sstp 3 2 1\re 1 2\x0b# c\x0ce 2 3\x1ct 4\x1d",
+    "header-after-comments": PAD * 40 + P3,
+    "utf8-comment": "# " + "\u00e9\u20ac\U0001f600" * 40 + "\n" + P3 + "# \u00bd \u2260\n" * 20,
+    "utf8-comment-fault": ("# " + "\u00e9\u20ac\U0001f600" * 40
+                           + "\np sstp 3 2 0\ne 1 2\n# \u00bd\ne 2 3 4\n"),
+    "duplicate-before-malformed": "p sstp 3 3 0\ne 1 2\ne 1 2\n" + PAD * 3 + "e 1 x\n",
+    "malformed-before-duplicate": "p sstp 3 3 0\ne 1 2\ne 1 x\n" + PAD * 3 + "e 1 2\n",
+    "duplicate-terminal": "p sstp 3 2 2\ne 1 2\ne 2 3\nt 2\n" + PAD * 3 + "t 2\n",
+    "empty": "",
+    "only-comments": PAD * 5,
+}
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+@pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+def test_chunk_cuts_match_reference(monkeypatch, name, chunk):
+    """Wherever the chunks are cut, str and UTF-8 bytes parse to what the
+    line-by-line reference gives: the instance, or the same error."""
+    monkeypatch.setattr(sstp, "CHUNK_BYTES", chunk)
+    text = CHUNK_CASES[name]
+    data = text.encode("utf-8")
+    if data.count(b"\n") > 1:
+        assert len(list(sstp._cuts(data))) > 1
+    expected = _outcome(reference_parse, text)
+    assert _outcome(parse_instance, text) == expected
+    assert _outcome(parse_instance, data) == expected
+
+
+def test_chunk_cases_reach_the_intended_error():
+    outcomes = {name: _outcome(reference_parse, text)
+                for name, text in CHUNK_CASES.items()}
+    assert outcomes["duplicate-before-malformed"] == (
+        "error", 3, "line 3: duplicate edge (1, 2)")
+    assert outcomes["malformed-before-duplicate"] == (
+        "error", 3, "line 3: edge endpoint is not an integer: 'x'")
+    assert outcomes["duplicate-terminal"] == (
+        "error", 8, "line 8: duplicate terminal 2")
+    assert outcomes["crlf-fault"][:2] == ("error", 6)
+    assert outcomes["no-newline-fault"][:2] == ("error", 5)
+    assert outcomes["utf8-comment-fault"][:2] == ("error", 5)
+    assert outcomes["empty"] == outcomes["only-comments"] == (
+        "error", None, "missing header")
+    for name in ("crlf-at-cut", "no-newline", "header-after-comments", "utf8-comment"):
+        assert outcomes[name][0] == "instance"
+
+
+@given(st.lists(st.sampled_from([b"\n", b"\r", b"\r\n", b"a", b"\xc3\xa9"]), max_size=40)
+       .map(b"".join), st.sampled_from(CHUNK_SIZES))
+def test_cuts_end_just_after_a_newline(data, chunk):
+    """Chunks tile the data. Each but the last ends in \\n; one longer
+    than the window holds no other \\n, and a shorter one leaves the
+    window's rest free of \\n."""
+    with mock.patch.object(sstp, "CHUNK_BYTES", chunk):
+        cuts = list(sstp._cuts(data))
+    bounds = [0] + [stop for _, stop in cuts]
+    assert cuts == list(zip(bounds, bounds[1:]))
+    assert bounds[-1] == len(data) and all(start < stop for start, stop in cuts)
+    for start, stop in cuts[:-1]:
+        assert data[stop - 1:stop] == b"\n"
+        if stop - start > chunk:
+            assert b"\n" not in data[start:stop - 1]
+        else:
+            assert b"\n" not in data[stop:start + chunk]
+
+
+@given(mutated_sstp(), st.sampled_from(CHUNK_SIZES))
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+def test_matches_reference_in_tiny_chunks(text, chunk):
+    with mock.patch.object(sstp, "CHUNK_BYTES", chunk):
+        assert _outcome(parse_instance, text) == _outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 18])
+def test_invalid_utf8_wins_as_in_a_whole_file_decode(monkeypatch, chunk):
+    """Bytes that are not UTF-8 are reported as decoding the whole file
+    reports them, even after a bad line in an earlier chunk."""
+    monkeypatch.setattr(sstp, "CHUNK_BYTES", chunk)
+    data = b"p sstp 2 1 0\ne 1 5\n" + PAD.encode() * 3 + b"# caf\xc3\n\xe2\x82"
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    with pytest.raises(UnicodeDecodeError) as exc:
+        parse_instance(data)
+    assert str(exc.value) == str(whole.value)
+    assert exc.value.start == data.index(b"\xc3")
+
+
+def test_parse_memory_grows_with_edges_not_bytes():
+    """The tracemalloc peak of parse_instance on gen files of about 125k
+    and 245k edges stays under A bytes per edge plus B per chunk byte.
+
+    Measured (Python 3.11, numpy 2.4): about 42 bytes per edge, of which
+    10 are the text's UTF-8 copy and 32 the CSR build, plus about 16 per
+    chunk byte for one chunk's temporaries. A and B leave twice that. A
+    parser holding whole-text temporaries peaks at about 200 bytes per
+    edge (20 per input byte) and fails both bounds.
+    """
+    per_edge, per_chunk_byte = 90, 32
+    measured = []
+    for clique in (500, 700):
+        text = serialize_instance(gen_split(GeneratorConfig(
+            clique_size=clique, independent_size=clique, level=2, seed=1)))
+        tracemalloc.start()
+        try:
+            inst = parse_instance(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        measured.append((inst.graph.m, peak))
+    (m1, peak1), (m2, peak2) = measured
+    assert m2 > 1.9 * m1
+    assert (peak2 - peak1) / (m2 - m1) <= per_edge
+    for m, peak in measured:
+        assert peak <= per_edge * m + per_chunk_byte * sstp.CHUNK_BYTES

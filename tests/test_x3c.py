@@ -104,6 +104,13 @@ def test_reduction_rejects_uncovered_elements():
         reduce_x3c(x)
 
 
+def test_reduction_names_the_first_ten_uncovered_elements():
+    x = X3CInstance(36, ((1, 2, 3), (4, 9, 30)))
+    with pytest.raises(ValueError, match=r"^ground elements \[5, 6, 7, 8, 10, 11, 12, 13, "
+                       r"14, 15\] and 20 more appear in no triple"):
+        reduce_x3c(x)
+
+
 def test_reduced_graph_star_profile():
     """The reduction is always K_{1,5}-free; an induced K_{1,4} appears
     exactly when two disjoint triples exist."""
