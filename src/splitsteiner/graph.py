@@ -87,18 +87,12 @@ class Graph:
     def m(self) -> int:
         return len(self._indices) // 2
 
-    def degree(self, v: int) -> int:
-        return int(self._indptr[v + 1] - self._indptr[v])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of v as a numpy view."""
         return self._indices[self._indptr[v]:self._indptr[v + 1]]
-
-    def neighbor_list(self, v: int) -> list[int]:
-        return [int(w) for w in self.neighbors(v)]
 
     def has_edge(self, u: int, v: int) -> bool:
         nb = self.neighbors(u)

@@ -2,9 +2,10 @@
 
 The labeled graphs this is used on live on the independent side of a
 split partition: many vertices, few edges, lots of isolated vertices.
-The implementation therefore runs one augmenting-path search per
-connected component after a greedy warm start, so isolated vertices and
-already-saturated components cost nothing.
+The adjacency therefore holds only the vertices with an edge, and after
+a greedy warm start each exposed vertex gets one augmenting-path search
+whose bookkeeping covers only the vertices that search reaches, so
+isolated vertices and saturated components cost nothing.
 
 alpha_capped answers the only question the 3-split solver's V_3 probe
 asks, "is alpha 0, 1, or at least 2?", of a link-graph kernel (at most
@@ -30,63 +31,38 @@ class Matching:
     def size(self) -> int:
         return len(self.edges)
 
-    def covered(self) -> set[int]:
-        return {v for e in self.edges for v in e}
 
-
-def _components(g: Graph, active: list[int]) -> list[list[int]]:
-    """Connected components among the given vertices, each sorted."""
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for s in active:
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbor_list(v):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _augment(adj: list[list[int]], match: list[int], root: int) -> bool:
+def _augment(adj: dict[int, list[int]], match: list[int], root: int) -> bool:
     """One blossom-contracting BFS for an augmenting path from root.
 
-    match is flipped along the path on success. Standard arrays: p is
-    the BFS parent on even levels, base maps a vertex to the base of its
-    contracted blossom.
+    match is flipped along the path on success. p is the BFS parent on
+    even levels and base maps a vertex to the base of its contracted
+    blossom; both hold only the vertices the search reaches, and a vertex
+    missing from base is its own base.
     """
-    n = len(adj)
-    p = [-1] * n
-    base = list(range(n))
-    used = [False] * n
-    used[root] = True
+    p: dict[int, int] = {}
+    base: dict[int, int] = {}
+    used = {root}
     queue = deque([root])
 
     def lca(a: int, b: int) -> int:
         on_path = set()
         while True:
-            a = base[a]
+            a = base.get(a, a)
             on_path.add(a)
             if match[a] == -1:
                 break
             a = p[match[a]]
         while True:
-            b = base[b]
+            b = base.get(b, b)
             if b in on_path:
                 return b
             b = p[match[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
+        while base.get(v, v) != b:
+            blossom.add(base.get(v, v))
+            blossom.add(base.get(match[v], match[v]))
             p[v] = child
             child = match[v]
             v = p[match[v]]
@@ -94,21 +70,23 @@ def _augment(adj: list[list[int]], match: list[int], root: int) -> bool:
     while queue:
         v = queue.popleft()
         for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
+            if base.get(v, v) == base.get(to, to) or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and p[match[to]] != -1):
+            if to == root or (match[to] != -1 and match[to] in p):
                 # odd cycle: contract the blossom to its base vertex
                 cur = lca(v, to)
-                blossom = [False] * n
+                blossom: set[int] = set()
                 mark_path(v, cur, to, blossom)
                 mark_path(to, cur, v, blossom)
-                for i in range(n):
-                    if blossom[base[i]]:
+                # every blossom vertex is reached; ascending order fixes
+                # the queue order, so the matching is deterministic
+                for i in sorted(used.union(p)):
+                    if base.get(i, i) in blossom:
                         base[i] = cur
-                        if not used[i]:
-                            used[i] = True
+                        if i not in used:
+                            used.add(i)
                             queue.append(i)
-            elif p[to] == -1:
+            elif to not in p:
                 p[to] = v
                 if match[to] == -1:
                     # augmenting path found; flip matched/unmatched edges
@@ -119,43 +97,35 @@ def _augment(adj: list[list[int]], match: list[int], root: int) -> bool:
                         match[pv] = to
                         to = nxt
                     return True
-                used[match[to]] = True
+                used.add(match[to])
                 queue.append(match[to])
     return False
 
 
-def _solve_component(g: Graph, comp: list[int],
-                     out: list[tuple[int, int]]) -> None:
-    local = {v: i for i, v in enumerate(comp)}
-    adj: list[list[int]] = [[] for _ in comp]
-    for i, v in enumerate(comp):
-        adj[i] = [local[w] for w in g.neighbor_list(v) if w in local]
-    match = [-1] * len(comp)
-    for i in range(len(comp)):  # greedy warm start
-        if match[i] == -1:
-            for j in adj[i]:
-                if match[j] == -1:
-                    match[i] = j
-                    match[j] = i
-                    break
-    for i in range(len(comp)):
-        # a vertex left exposed by a failed search stays exposed in some
-        # maximum matching, so one attempt per vertex suffices
-        if match[i] == -1:
-            _augment(adj, match, i)
-    for i, j in enumerate(match):
-        if i < j:
-            out.append((comp[i], comp[j]))
-
-
 def maximum_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching of g, deterministic for a given
-    graph (components and roots are processed in ascending order)."""
-    active = [v for v in range(g.n) if g.degree(v) > 0]
-    out: list[tuple[int, int]] = []
-    for comp in _components(g, active):
-        _solve_component(g, comp, out)
-    return Matching(edges=tuple(sorted(out)))
+    graph (warm start and search roots run in ascending order)."""
+    src, dst = g.edge_arrays()
+    adj: dict[int, list[int]] = {}
+    # edges come in (u, v) order with u < v, so each list is ascending
+    for u, v in zip(src.tolist(), dst.tolist()):
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    active = sorted(adj)
+    match = [-1] * g.n
+    for v in active:  # greedy warm start
+        if match[v] == -1:
+            for w in adj[v]:
+                if match[w] == -1:
+                    match[v] = w
+                    match[w] = v
+                    break
+    for v in active:
+        # a vertex left exposed by a failed search stays exposed in some
+        # maximum matching, so one attempt per vertex suffices
+        if match[v] == -1:
+            _augment(adj, match, v)
+    return Matching(edges=tuple((v, match[v]) for v in active if v < match[v]))
 
 
 def alpha_capped(edges: list[tuple[int, int]]) -> int:

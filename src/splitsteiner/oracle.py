@@ -39,7 +39,7 @@ def _local_masks(g: Graph, members: list[int]) -> list[int]:
     masks = [0] * len(members)
     for v, i in local.items():
         m = 0
-        for w in g.neighbor_list(v):
+        for w in g.neighbors(v).tolist():
             j = local.get(w)
             if j is not None:
                 m |= 1 << j

@@ -1,7 +1,10 @@
 """Steiner tree solvers for connected split graphs.
 
 Pipeline: split_partition -> K_{1,4}-freeness verification -> pruning ->
-dispatch on the reduced graph's maximum independent degree (delta_i).
+dispatch on the reduced graph's maximum independent degree (delta_i) ->
+output tree. Every stage after split_partition reads the partition only,
+never the host graph: the output tree is the one a BFS would find, built
+from the cross edges in closed form (_tree_edges).
 Every regime reduces to picking clique vertices that cover the surviving
 independent terminals:
 
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError, NotK14FreeError
-from .graph import Graph, bfs_tree
+from .graph import Graph
 from .matching import alpha_capped, maximum_matching
 from .oracle import brute_force_steiner
 from .split import SplitPartition, split_partition
@@ -329,8 +332,7 @@ def solve(inst: SteinerInstance, *, exact_fallback: bool = False,
     The oracle keeps its default subset budget, above the 2**20 subsets
     of the default fallback_budget.
     """
-    g = inst.graph
-    sp = split_partition(g)  # NotSplitError propagates
+    sp = split_partition(inst.graph)  # NotSplitError propagates
     r_set = set(inst.terminals)
     if not r_set:
         return SteinerResult((), (), SolveTrace(regime="empty"))
@@ -341,7 +343,7 @@ def solve(inst: SteinerInstance, *, exact_fallback: bool = False,
             pool = [v for v in sp.clique if v not in r_set]
             if len(pool) <= fallback_budget:
                 orc = brute_force_steiner(inst, universe="clique-only")
-                tree = _tree_edges(g, set(orc.witness) | r_set)
+                tree = _tree_edges(sp, set(orc.witness) | r_set)
                 return SteinerResult(tuple(orc.witness), tree,
                                      SolveTrace(regime="exact-fallback"))
         raise NotK14FreeError(witness)
@@ -352,7 +354,7 @@ def solve(inst: SteinerInstance, *, exact_fallback: bool = False,
     if not i1 or (len(i1) == 1 and pi.clique_terminal_anchor is None):
         # R is already connected: clique terminals are pairwise adjacent
         # and every pruned I-terminal hangs off one of them
-        return SteinerResult((), _tree_edges(g, r_set),
+        return SteinerResult((), _tree_edges(sp, r_set),
                              SolveTrace(regime="empty"))
 
     d = view.delta_i
@@ -373,9 +375,37 @@ def solve(inst: SteinerInstance, *, exact_fallback: bool = False,
         trace = SolveTrace(regime="3-split", alpha_m=alpha, alpha_m2=alpha2,
                            chosen_v3_vertex=chosen)
     _check_disjoint(set(s), r_set)
-    return SteinerResult(s, _tree_edges(g, set(s) | r_set), trace)
+    return SteinerResult(s, _tree_edges(sp, set(s) | r_set), trace)
 
 
-def _tree_edges(g: Graph, subset: set[int]) -> tuple[tuple[int, int], ...]:
-    edges = bfs_tree(g, subset)
-    return tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
+def _tree_edges(sp: SplitPartition,
+                members: set[int]) -> tuple[tuple[int, int], ...]:
+    """graph.bfs_tree's edges on members as sorted pairs (u, v), u < v,
+    read off the partition. The BFS root is the smallest member. A clique
+    root reaches the clique part at once; an independent root x0 reaches
+    its clique neighbors A, and A[0] the rest of the clique part. Each
+    other independent member hangs off its first clique neighbor in
+    dequeue order: A, then the rest of the clique part ascending. Raises
+    InvariantError when the members induce a disconnected graph.
+    """
+    if not members:
+        return ()
+    root = min(members)
+    clique = [v for v in sp.clique if v in members]
+    if clique and clique[0] == root:
+        first: set[int] = set()
+        edges = [(root, v) for v in clique[1:]]
+    else:
+        near = [v for v in sp.clique_neighbors(root) if v in members]
+        if not near and len(members) > 1:
+            raise InvariantError(f"tree root {root} reaches no other member")
+        first = set(near)
+        edges = [(root, v) for v in near]
+        edges += [(near[0], v) for v in clique if v not in first]
+    for x in members.difference(clique, (root,)):
+        ws = [v for v in sp.clique_neighbors(x) if v in members]
+        if not ws:
+            raise InvariantError(f"tree member {x} has no clique neighbor")
+        w = next((v for v in ws if v in first), ws[0])
+        edges.append((x, w))
+    return tuple(sorted((min(e), max(e)) for e in edges))

@@ -16,6 +16,8 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 
+import numpy as np
+
 from .errors import X3CParseError
 from .graph import Graph
 from .sstp import SteinerInstance
@@ -143,14 +145,11 @@ def reduce_x3c(x: X3CInstance) -> tuple[SteinerInstance, int]:
             f"ground elements {listed}{more} appear in no triple; "
             "the reduced graph would be disconnected")
     nz = x.ground_size
-    n = nz + len(x.triples)
-    edges: list[tuple[int, int]] = []
-    for l in range(len(x.triples)):
-        for m in range(l + 1, len(x.triples)):
-            edges.append((nz + l, nz + m))
-        for e in x.triples[l]:
-            edges.append((e - 1, nz + l))
-    inst = SteinerInstance(graph=Graph.from_edges(n, edges),
+    t = len(x.triples)
+    clique = np.stack(np.triu_indices(t, 1), axis=1) + nz
+    membership = np.array([(e - 1, nz + l) for l, tr in enumerate(x.triples) for e in tr],
+                          dtype=np.int64).reshape(-1, 2)
+    inst = SteinerInstance(graph=Graph.from_edges(nz + t, np.concatenate([clique, membership])),
                            terminals=tuple(range(nz)))
     return inst, x.q
 
@@ -161,6 +160,9 @@ def solve_x3c_bruteforce(x: X3CInstance) -> tuple[tuple[int, int, int], ...] | N
     triples in ascending order. Requires at most 20 triples."""
     if len(x.triples) > 20:
         raise ValueError(f"{len(x.triples)} triples exceeds the limit of 20")
+    if 3 * len(x.triples) < x.ground_size:
+        # too few triples to cover; also bounds the work below by the triples
+        return None
     by_element: dict[int, list[int]] = {e: [] for e in range(1, x.ground_size + 1)}
     for i, t in enumerate(x.triples):
         for e in t:

@@ -165,7 +165,7 @@ def reference_obstruction(g: Graph) -> NotSplitError:
     kept as its reference: an O(m^2) scan over pairs of edges for a 2K2,
     then searches for a C4 and a C5. Raises AssertionError when g has
     none of them, i.e. when g is split."""
-    adj = [set(g.neighbor_list(v)) for v in range(g.n)]
+    adj = [set(g.neighbors(v).tolist()) for v in range(g.n)]
     edges = list(g.edges())
     # induced 2K2: two edges with no endpoints shared or adjacent
     for i, (a, b) in enumerate(edges):

@@ -9,7 +9,7 @@ def test_from_edges_basic():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert g.n == 4
     assert g.m == 3
-    assert g.degree(1) == 2
+    assert g.degrees().tolist() == [1, 2, 2, 1]
     assert list(g.neighbors(1)) == [0, 2]
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 3)

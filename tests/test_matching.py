@@ -32,7 +32,7 @@ def _assert_valid(g, m):
         assert u not in seen and v not in seen
         seen.update((u, v))
     assert m.edges == tuple(sorted(m.edges))
-    assert m.covered() == seen
+    assert len(seen) == 2 * m.size
 
 
 @pytest.mark.parametrize("g, size", [
@@ -54,7 +54,7 @@ def test_pinned_sizes(g, size):
 def test_triangle_with_tail():
     # augmenting from the tail must shrink the odd cycle
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])
-    assert maximum_matching(g).size == 3
+    assert maximum_matching(g).edges == ((0, 1), (2, 3), (4, 5))
 
 
 def test_flower():
@@ -62,7 +62,7 @@ def test_flower():
     g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
                              (4, 5), (5, 6), (6, 4)])
     m = maximum_matching(g)
-    assert m.size == 3
+    assert m.edges == ((0, 1), (2, 3), (4, 5))
     _assert_valid(g, m)
 
 
@@ -72,7 +72,24 @@ def test_petersen_has_perfect_matching():
     spokes = [(i, i + 5) for i in range(5)]
     g = Graph.from_edges(10, outer + inner + spokes)
     m = maximum_matching(g)
-    assert m.size == 5
+    assert m.edges == ((0, 1), (2, 3), (4, 9), (5, 7), (6, 8))
+    _assert_valid(g, m)
+
+
+@pytest.mark.parametrize("g, edges", [
+    (cycle(9), ((0, 1), (2, 3), (4, 5), (6, 7))),
+    (Graph.from_edges(4, list(combinations(range(4), 2))), ((0, 1), (2, 3))),
+    # a triangle with a tail, a C5 and an edge, apart, among isolated
+    # vertices 0, 5 and 7
+    (Graph.from_edges(16, [(1, 4), (4, 6), (6, 1), (6, 9), (9, 11), (11, 12),
+                           (3, 8), (8, 13), (13, 15), (15, 10), (10, 3),
+                           (2, 14)]),
+     ((1, 4), (2, 14), (3, 8), (6, 9), (10, 15), (11, 12))),
+])
+def test_pinned_matchings(g, edges):
+    """The exact matchings, so that a change of search order shows."""
+    m = maximum_matching(g)
+    assert m.edges == edges
     _assert_valid(g, m)
 
 

@@ -2,9 +2,11 @@ import ast
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import splitsteiner.graph
 import splitsteiner.solver
 from splitsteiner import (
     GeneratorConfig,
@@ -13,6 +15,7 @@ from splitsteiner import (
     NotK14FreeError,
     NotSplitError,
     SteinerInstance,
+    bfs_tree,
     brute_force_steiner,
     find_induced_star,
     gen_split,
@@ -27,7 +30,7 @@ from splitsteiner import (
     verify_solution,
 )
 from splitsteiner.cli import main
-from splitsteiner.solver import _probe_v3, _triple_alphas
+from splitsteiner.solver import _probe_v3, _tree_edges, _triple_alphas
 from splitsteiner.split import SplitPartition
 from helpers import (
     adversarial_instance,
@@ -151,12 +154,12 @@ def test_prune_promotion_stops_with_one_left():
     _check_tree(inst, res)
 
 
-def test_stages_after_recognition_read_no_host_row(monkeypatch):
-    """The K_{1,r} test, prune and every regime solver read the cross
-    edges from the partition, never a row of the host graph."""
+def _every_regime() -> list[SteinerInstance]:
+    """Small instances that reach every regime but the exact fallback,
+    and an induced K_{1,5}."""
     insts = [SteinerInstance(graph=g, terminals=t) for g, t in (
-        (PROMO, (3, 4)), (CLAWFREE2, (3, 4, 5)), (HUB, (0, 3, 5, 6)),
-        (K15, (3, 7)))]
+        (PROMO, ()), (PROMO, (0, 1, 3)), (PROMO, (3, 4)), (CLAWFREE2, (3, 4, 5)),
+        (HUB, (0, 3, 5, 6)), (K15, (3, 7)))]
     for level, k14 in ((1, False), (2, False), (3, False), (3, True)):
         for seed in range(3):
             inst = gen_split(GeneratorConfig(clique_size=7, independent_size=7,
@@ -164,6 +167,13 @@ def test_stages_after_recognition_read_no_host_row(monkeypatch):
             insts.append(inst)
             insts.append(SteinerInstance(graph=inst.graph,
                                          terminals=inst.terminals[::2] + (0,)))
+    return insts
+
+
+def test_stages_after_recognition_read_no_host_row(monkeypatch):
+    """The K_{1,r} test, prune and every regime solver read the cross
+    edges from the partition, never a row of the host graph."""
+    insts = _every_regime()
     solvers = {1: [solve_1split], 2: [solve_2split], 3: [solve_3split]}
     host: list[Graph | None] = [None]
     read: list[int] = []
@@ -195,6 +205,79 @@ def test_stages_after_recognition_read_no_host_row(monkeypatch):
         assert read == [], (inst.terminals, read)
     assert stars > 0
     assert ran == {"solve_1split", "solve_2split", "solve_3split", "solve_claw_free"}
+
+
+def test_solve_reads_only_the_partition_after_recognition(monkeypatch):
+    """Once split_partition returns, solve reads no graph row and runs no
+    BFS in any regime, the empty one and the output tree included."""
+    after = [False]
+    calls: list[str] = []
+
+    def spy(name, fn):
+        def traced(*args):
+            if after[0]:
+                calls.append(name)
+            return fn(*args)
+        return traced
+
+    def recognize(g):
+        sp = split_partition(g)
+        after[0] = True
+        return sp
+
+    monkeypatch.setattr(splitsteiner.solver, "split_partition", recognize)
+    monkeypatch.setattr(Graph, "neighbors", spy("neighbors", Graph.neighbors))
+    monkeypatch.setattr(Graph, "has_edge", spy("has_edge", Graph.has_edge))
+    # behind both bfs_tree and is_connected
+    monkeypatch.setattr(splitsteiner.graph, "_bfs", spy("bfs", splitsteiner.graph._bfs))
+    regimes = set()
+    for inst in _every_regime():
+        after[0] = False
+        try:
+            regimes.add(solve(inst).trace.regime)
+        except NotK14FreeError:
+            regimes.add("not K14-free")
+        assert calls == [], (inst.terminals, calls)
+    assert regimes == REGIMES - {"exact-fallback"} | {"not K14-free"}
+
+
+def _random_split_graph(rng: np.random.Generator) -> Graph:
+    """A split graph with random cross edges and shuffled vertex ids."""
+    a, b = (int(v) for v in rng.integers(1, 9, size=2))
+    ids = rng.permutation(a + b).tolist()
+    clique, indep = ids[:a], ids[a:]
+    p = rng.uniform(0.1, 0.7)
+    edges = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
+    edges += [(v, x) for v in clique for x in indep if rng.random() < p]
+    return Graph.from_edges(a + b, edges)
+
+
+def test_partition_tree_is_the_bfs_tree():
+    """The closed-form tree has the edges of bfs_tree on every member
+    set, and a disconnected set raises InvariantError."""
+    rng = np.random.default_rng(2015)
+    seen = {"clique root": 0, "independent root": 0, "disconnected": 0}
+    for _ in range(120):
+        g = _random_split_graph(rng)
+        sp = split_partition(g)
+        clique = set(sp.clique)
+        assert _tree_edges(sp, set()) == ()
+        for _ in range(40):
+            q = rng.uniform(0.2, 0.9)
+            members = {v for v in range(g.n) if rng.random() < q}
+            if not members:
+                continue
+            try:
+                bfs = bfs_tree(g, members)
+            except ValueError:
+                seen["disconnected"] += 1
+                with pytest.raises(InvariantError):
+                    _tree_edges(sp, members)
+                continue
+            seen["clique root" if min(members) in clique else "independent root"] += 1
+            assert _tree_edges(sp, members) == tuple(sorted(
+                (min(e), max(e)) for e in bfs)), sorted(members)
+    assert min(seen.values()) >= 500, seen
 
 
 def test_no_terminals():

@@ -1,6 +1,10 @@
+import time
+from itertools import combinations
+
 import pytest
 
 from splitsteiner import (
+    Graph,
     NotK14FreeError,
     X3CInstance,
     X3CParseError,
@@ -98,6 +102,19 @@ def test_reduction_shape():
     assert not inst.graph.has_edge(3, 6)
 
 
+def test_reduced_graph_edges():
+    """The clique on the triples and the membership edges, and nothing
+    else, on an instance with more triples than the hand-checked one."""
+    x = X3CInstance(9, ((1, 2, 3), (1, 4, 7), (2, 5, 8), (3, 6, 9), (4, 5, 6),
+                        (7, 8, 9)))
+    inst, k = reduce_x3c(x)
+    edges = [(9 + l, 9 + m) for l, m in combinations(range(6), 2)]
+    edges += [(e - 1, 9 + l) for l, t in enumerate(x.triples) for e in t]
+    assert k == 3
+    assert inst.graph == Graph.from_edges(15, edges)
+    assert inst.terminals == tuple(range(9))
+
+
 def test_reduction_rejects_uncovered_elements():
     x = X3CInstance(6, ((1, 2, 3),))
     with pytest.raises(ValueError, match=r"\[4, 5, 6\] appear in no triple"):
@@ -147,6 +164,15 @@ def test_bruteforce_triple_limit():
     assert len(x.triples) == 21
     with pytest.raises(ValueError, match="limit of 20"):
         solve_x3c_bruteforce(x)
+
+
+def test_bruteforce_ignores_header_ground_size():
+    """Fewer than q triples cannot cover the ground set, and saying so
+    must not cost time in the header's ground size."""
+    start = time.perf_counter()
+    assert solve_x3c_bruteforce(X3CInstance(3 * 10**12, ((1, 2, 3),))) is None
+    assert time.perf_counter() - start < 1.0
+    assert solve_x3c_bruteforce(X3CInstance(9, ((1, 2, 3), (4, 5, 6)))) is None
 
 
 def test_bruteforce_needs_backtracking():
