@@ -34,7 +34,7 @@ from .solver import (
     solve_claw_free,
 )
 from .split import SplitPartition, split_partition
-from .sstp import SteinerInstance, parse_instance, serialize_instance
+from .sstp import SteinerInstance, parse_instance, serialize_instance, write_instance
 from .structure import (
     LabeledGraph,
     StarWitness,
@@ -100,4 +100,5 @@ __all__ = [
     "solve_x3c_bruteforce",
     "split_partition",
     "verify_solution",
+    "write_instance",
 ]

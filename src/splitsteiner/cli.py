@@ -22,7 +22,7 @@ from .generate import GeneratorConfig, gen_split
 from .oracle import brute_force_steiner, verify_solution
 from .solver import solve
 from .split import split_partition
-from .sstp import SteinerInstance, parse_instance, serialize_instance
+from .sstp import SteinerInstance, parse_instance, write_instance
 from .structure import find_induced_star
 from .x3c import parse_x3c, reduce_x3c
 
@@ -122,8 +122,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     x = parse_x3c(_read(args.input))
     inst, q = reduce_x3c(x)
-    text = serialize_instance(inst) + f"# k = {q}\n"
-    Path(args.output).write_text(text, encoding="utf-8")
+    with open(args.output, "w", encoding="utf-8") as fh:
+        write_instance(inst, fh)
+        fh.write(f"# k = {q}\n")
     _emit({
         "edges": inst.graph.m,
         "file": args.output,
@@ -143,11 +144,21 @@ def cmd_gen(args: argparse.Namespace) -> int:
         seed=args.seed,
         edge_density=args.density,
     )
-    text = serialize_instance(gen_split(cfg))
+    inst = gen_split(cfg)  # built first: a failing gen creates no file
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        with open(args.output, "w", encoding="utf-8") as fh:
+            write_instance(inst, fh)
+        return 0
+    try:
+        write_instance(inst, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away mid-stream; send what is still buffered to
+        # devnull, so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
     return 0
 
 
@@ -175,7 +186,7 @@ def _bench_one(job: tuple[str, int, bool]) -> dict:
             "time_ms": round(best * 1000.0, 3),
         }
     except Exception as exc:  # per-record reporting keeps the batch going
-        return {"error": str(exc), "file": name}
+        return {"error": str(exc), "error_type": type(exc).__name__, "file": name}
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

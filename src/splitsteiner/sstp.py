@@ -26,13 +26,16 @@ input, the parse holds O(CHUNK_BYTES + m + t) bytes, then O(n + m) to
 build the graph; nothing is sized by the header's counts.
 
 Internally vertices are 0-based. Serialization is canonical: edges sorted
-lexicographically, terminals ascending, no comments.
+lexicographically, terminals ascending, no comments. It is written a
+vertex at a time: one string per vertex holds the lines of its edges to
+higher vertices, so a writer holds one row's text, not the file's.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -360,12 +363,31 @@ def parse_instance(text: str | bytes) -> SteinerInstance:
         raise SstpParseError(str(exc)) from exc
 
 
+def _blocks(inst: SteinerInstance) -> Iterator[str]:
+    """The canonical text in pieces: the header line, then the edge lines
+    of each vertex u with a higher neighbour as one string, made by one
+    join over a table of labels, then the terminal lines as one string."""
+    g = inst.graph
+    yield f"p sstp {g.n} {g.m} {len(inst.terminals)}\n"
+    # labels[v] is the 1-based id of vertex v; indexing the object array
+    # with a row picks the strings without a Python loop
+    labels = np.array([str(v + 1) for v in range(g.n)], dtype=object)
+    for u in range(g.n):
+        row = g.neighbors(u)
+        higher = row[int(np.searchsorted(row, u + 1)):]
+        if higher.size:
+            head = f"e {labels[u]} "
+            yield head + ("\n" + head).join(labels[higher]) + "\n"
+    if inst.terminals:
+        yield "".join(f"t {labels[t]}\n" for t in inst.terminals)
+
+
 def serialize_instance(inst: SteinerInstance) -> str:
     """Canonical SSTP text for an instance (1-based, sorted, newline-terminated)."""
-    g = inst.graph
-    lines = [f"p sstp {g.n} {g.m} {len(inst.terminals)}"]
-    src, dst = g.edge_arrays()
-    lines += [f"e {u} {v}" for u, v in zip((src + 1).tolist(), (dst + 1).tolist())]
-    for u in inst.terminals:
-        lines.append(f"t {u + 1}")
-    return "\n".join(lines) + "\n"
+    return "".join(_blocks(inst))
+
+
+def write_instance(inst: SteinerInstance, fh: TextIO) -> None:
+    """Write serialize_instance(inst) to a text file a row at a time, so
+    the whole text is never held."""
+    fh.writelines(_blocks(inst))

@@ -340,6 +340,18 @@ def reference_parse(text: str) -> SteinerInstance:
         raise SstpParseError(str(exc)) from exc
 
 
+def reference_serialize(inst: SteinerInstance) -> str:
+    """The one-f-string-per-edge serializer that the package's row-at-a-time
+    writer replaced, kept as its differential reference."""
+    g = inst.graph
+    lines = [f"p sstp {g.n} {g.m} {len(inst.terminals)}"]
+    src, dst = g.edge_arrays()
+    lines += [f"e {u} {v}" for u, v in zip((src + 1).tolist(), (dst + 1).tolist())]
+    for u in inst.terminals:
+        lines.append(f"t {u + 1}")
+    return "\n".join(lines) + "\n"
+
+
 def _survivor_pairs(v3_triples: list[tuple[int, tuple[int, ...]]],
                     v: int, banned: set[int]) -> list[tuple[int, int]]:
     """Labeled-graph edges left after dropping the I-neighborhood of v.

@@ -12,16 +12,18 @@ import pytest
 
 import splitsteiner
 from splitsteiner import (
+    GeneratorConfig,
     Graph,
     NotSplitError,
     SolveTrace,
     SteinerInstance,
     SteinerResult,
+    gen_split,
     serialize_instance,
     split_partition,
 )
 from splitsteiner.cli import main
-from helpers import assert_obstruction_is_real
+from helpers import assert_obstruction_is_real, reference_serialize
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # What the launcher pip writes for `splitsteiner = "splitsteiner.cli:main"`
@@ -255,13 +257,20 @@ def test_gen_deterministic(tmp_path, capsys):
     out = str(tmp_path / "gen.sstp")
     assert main(argv + ["--output", out]) == 0
     capsys.readouterr()
-    assert (tmp_path / "gen.sstp").read_text() == first
+    assert (tmp_path / "gen.sstp").read_bytes() == first.encode()
+    assert first == reference_serialize(gen_split(GeneratorConfig(
+        clique_size=6, independent_size=8, level=3, k14_free=True, seed=5)))
     assert first.startswith("p sstp 14 ")
 
 
-def test_gen_infeasible(capsys):
+def test_gen_infeasible(tmp_path, capsys):
     assert main(["gen", "--level", "1", "--clique", "2", "--indep", "9"]) == 1
     assert "error:" in capsys.readouterr().err
+    out = tmp_path / "gen.sstp"
+    assert main(["gen", "--level", "1", "--clique", "2", "--indep", "9",
+                 "--output", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_empty_dir(tmp_path, capsys):
@@ -329,6 +338,7 @@ def test_bench_keeps_going_after_errors(tmp_path, capsys):
     assert main(["bench", "--dir", str(tmp_path)]) == 1
     lines = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
     assert "error" in lines[0] and lines[0]["file"] == "a_bad.sstp"
+    assert lines[0]["error_type"] == "SstpParseError"
     assert lines[1]["verified"] is True
     assert lines[-1]["verified"] is False
 
@@ -362,6 +372,24 @@ def test_console_entry_point(tmp_path):
     run = _run([sys.executable, "-c", LAUNCHER, "solve", "--input", c4])
     assert run.returncode == 2
     assert "not a split graph" in run.stderr
+
+
+def test_gen_to_closed_pipe_exits_cleanly():
+    """A reader that takes the header line and closes the pipe stops a
+    streaming gen with exit 0 or 1 and no traceback, in the write loop
+    or in the flush at interpreter exit."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "splitsteiner", "gen", "--level", "2",
+         "--clique", "1000", "--indep", "1500"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    try:
+        assert child.stdout.readline() == b"p sstp 2500 501133 1500\n"
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert child.returncode in (0, 1)
+    assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 def test_cli_import_leaves_process_pool_out():
