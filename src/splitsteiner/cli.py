@@ -34,9 +34,10 @@ def _read(path: str) -> str:
 
 
 def _read_instance(path: str) -> SteinerInstance:
-    # the parser checks the bytes are UTF-8 chunk by chunk, so the file
-    # is held once, as bytes, and never as text
-    return parse_instance(Path(path).read_bytes())
+    # the parser reads the file in chunks and checks each is UTF-8, so
+    # neither the file's bytes nor its text are ever held whole
+    with open(path, "rb") as fh:
+        return parse_instance(fh)
 
 
 def _emit(payload: dict) -> None:

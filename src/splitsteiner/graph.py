@@ -10,7 +10,7 @@ rely on for deterministic output.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
 import numpy as np
@@ -52,24 +52,7 @@ class Graph:
             if u == v and 0 <= u < n:
                 raise ValueError(f"self-loop at vertex {u}")
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        # one sorted key per orientation: row-major order is CSR order,
-        # and a repeated edge shows up as two equal neighbouring keys;
-        # each half is written in place, with no pair-sized temporary
-        m = len(pairs)
-        keys = np.empty(2 * m, dtype=np.int64)
-        np.multiply(src, n, out=keys[:m], dtype=np.int64)
-        keys[:m] += dst
-        np.multiply(dst, n, out=keys[m:], dtype=np.int64)
-        keys[m:] += src
-        del pairs, src, dst
-        keys.sort()
-        same = np.flatnonzero(keys[1:] == keys[:-1])
-        if same.size:
-            u, v = divmod(int(keys[same[0]]), n)
-            raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
-        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        indices = np.remainder(keys, max(n, 1), out=np.empty(2 * m, dtype=np.int32))
-        return cls(n, indptr, indices)
+        return cls(n, *_csr(n, [pairs]))
 
     @classmethod
     def from_csr(cls, n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
@@ -128,10 +111,44 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _csr(n: int, pieces: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the simple graph on n vertices whose edges are
+    the rows of pieces, (k, 2) integer arrays of ids in [0, n) with no
+    self-loop. Raises ValueError naming the smallest repeated pair, in
+    either orientation.
+
+    One key per orientation, u * n + v, is written straight from the
+    pieces into one array, int32 when n**2 fits, and sorted in place:
+    row-major order is CSR order, a repeated edge shows up as two equal
+    neighbouring keys, and int32 keys reduced mod n in place are the
+    CSR indices.
+    """
+    m = sum(len(p) for p in pieces)
+    key_type = np.int32 if n * n < 2**31 else np.int64
+    keys = np.empty(2 * m, dtype=key_type)
+    at = 0
+    for p in pieces:
+        for src, dst, start in ((p[:, 0], p[:, 1], at), (p[:, 1], p[:, 0], at + m)):
+            out = keys[start:start + len(p)]
+            np.multiply(src, n, out=out, dtype=key_type)
+            out += dst
+        at += len(p)
+    keys.sort()
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    if same.size:
+        u, v = divmod(int(keys[same[0]]), n)
+        raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+    # needles of the keys' dtype, or numpy casts every key to int64
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=key_type) * n)
+    indices = keys if key_type is np.int32 else np.empty(2 * m, dtype=np.int32)
+    np.remainder(keys, max(n, 1), out=indices)
+    return indptr, indices
+
+
 def _as_pairs(edges: np.ndarray | Iterable[tuple[int, int]]) -> np.ndarray:
     """Edges as an (m, 2) int32 or int64 array; ValueError unless each is a pair."""
     if isinstance(edges, np.ndarray):
-        # int32 rows, as the parser keeps them, are used without a copy
+        # int32 and int64 rows are used without a copy
         pairs = edges if edges.dtype in (np.int32, np.int64) else edges.astype(np.int64)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)

@@ -16,14 +16,20 @@ an underscore (1_0), a non-ASCII digit, a longer number, and non-ASCII
 text such as a no-break space between two ids. A comment line, whose
 first non-blank character is '#', may hold any text.
 
-Parsing is one pass over chunks of the text's UTF-8 bytes, each about
-CHUNK_BYTES long and cut just after a \\n byte. A \\n always ends a line
-and is never part of a \\r\\n pair's first half or of a multi-byte UTF-8
-sequence, so no line, token or character spans two chunks. A chunk is
-tokenized with array operations and checked line by line; only one row of
-ids and a line number per edge and per terminal outlive it. Besides its
-input, the parse holds O(CHUNK_BYTES + m + t) bytes, then O(n + m) to
-build the graph; nothing is sized by the header's counts.
+Parsing is one pass over chunks of UTF-8 bytes read from the source,
+each about CHUNK_BYTES long and cut just after a \\n byte. A \\n always
+ends a line and is never part of a \\r\\n pair's first half or of a
+multi-byte UTF-8 sequence, so no line, token or character spans two
+chunks. A chunk is tokenized with array operations and checked line by
+line; only one row of ids and a line number per edge and per terminal
+outlive it, as int32 when they fit: 12 bytes per edge. The graph is built
+from those rows with one sort of one int32 key per edge and orientation
+(int64 once n**2 >= 2**31), 8 bytes per edge that become the CSR indices.
+Parsing an open file therefore holds O(CHUNK_BYTES) bytes of text and
+per-chunk temporaries plus about 22 bytes per edge at its peak (rows,
+keys and a mask comparing neighbouring keys), and never the file's bytes;
+a str or bytes source adds its own UTF-8 bytes.
+Nothing is sized by the header's counts.
 
 Internally vertices are 0-based. Serialization is canonical: edges sorted
 lexicographically, terminals ascending, no comments. It is written a
@@ -33,14 +39,15 @@ higher vertices, so a writer holds one row's text, not the file's.
 
 from __future__ import annotations
 
+import io
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 import numpy as np
 
 from .errors import SstpParseError
-from .graph import Graph, is_connected
+from .graph import Graph, _csr, is_connected
 
 MAX_DIGITS = 18  # 10**18 - 1 < 2**63
 # bytes per chunk of the parse, chosen by measurement (BENCH_sstp_chunked.json)
@@ -105,32 +112,72 @@ def _index_dtype(bound: int) -> type:
     return np.int32 if bound < 2**31 else np.int64
 
 
-def _cuts(data: bytes) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each chunk of data: the longest prefix of the next
+def _fill(source: BinaryIO, head: bytes, size: int) -> bytes:
+    """head followed by what source holds next, up to size bytes in all;
+    shorter only where the source ends."""
+    parts = [head]
+    size -= len(head)
+    while size > 0 and (more := source.read(size)):
+        parts.append(more)
+        size -= len(more)
+    return b"".join(parts)
+
+
+def _chunks(source: BinaryIO) -> Iterator[bytes]:
+    """The bytes of source in chunks: the longest prefix of the next
     CHUNK_BYTES bytes that ends in \\n, or, when that window holds no \\n,
     everything up to and including the next one (the rest of the data when
     there is none). A chunk therefore ends a line, and no \\r\\n pair,
-    token or UTF-8 sequence spans two chunks."""
-    start, size = 0, len(data)
-    while start < size:
-        stop = min(start + CHUNK_BYTES, size)
-        if stop < size:
-            cut = data.rfind(b"\n", start, stop)
+    token or UTF-8 sequence spans two chunks. One byte past the window is
+    read to tell whether the data ends inside it."""
+    window = CHUNK_BYTES
+    buf = _fill(source, b"", window + 1)
+    while len(buf) > window:
+        cut = buf.rfind(b"\n", 0, window)
+        searched = window
+        while cut < 0 and searched < len(buf):
+            # a line longer than the window: read on to its \n, doubling
+            # what is held, so each byte of the line is copied O(1) times
+            cut = buf.find(b"\n", searched)
+            searched = len(buf)
             if cut < 0:
-                cut = data.find(b"\n", stop)
-            stop = size if cut < 0 else cut + 1
-        yield start, stop
-        start = stop
+                buf = _fill(source, buf, 2 * searched)
+        if cut < 0:
+            break
+        yield buf[:cut + 1]
+        buf = _fill(source, buf[cut + 1:], window + 1)
+    if buf:
+        yield buf
 
 
-def _check_utf8(data: bytes, start: int, stop: int) -> None:
-    """Raise what data.decode("utf-8") raises for an invalid sequence in
-    data[start:stop]; chunks end a line, so positions match the whole file's."""
+class _FileDecodeError(UnicodeDecodeError):
+    """The UnicodeDecodeError of an invalid sequence in one chunk, with
+    start and end counted from the start of the file. object is that
+    chunk alone, so object[start - offset] is the first bad byte; str()
+    reads as for a decode of the whole file."""
+
+    def __init__(self, exc: UnicodeDecodeError, offset: int):
+        super().__init__(exc.encoding, exc.object, offset + exc.start,
+                         offset + exc.end, exc.reason)
+        self.offset = offset
+
+    def __str__(self) -> str:
+        if self.end == self.start + 1:
+            byte = self.object[self.start - self.offset]
+            return (f"'{self.encoding}' codec can't decode byte 0x{byte:02x} "
+                    f"in position {self.start}: {self.reason}")
+        return (f"'{self.encoding}' codec can't decode bytes in position "
+                f"{self.start}-{self.end - 1}: {self.reason}")
+
+
+def _check_utf8(chunk: bytes, offset: int) -> None:
+    """Raise what decoding the whole file raises for an invalid sequence
+    in the chunk that starts at byte offset; chunks end a line, so the
+    first fault and its position match the whole file's."""
     try:
-        str(memoryview(data)[start:stop], "utf-8")
+        str(chunk, "utf-8")
     except UnicodeDecodeError as exc:
-        raise UnicodeDecodeError(exc.encoding, data, start + exc.start,
-                                 start + exc.end, exc.reason) from None
+        raise _FileDecodeError(exc, offset) from None
 
 
 class _Chunk:
@@ -188,21 +235,9 @@ class _Chunk:
         return first, count, tag
 
 
-def _repeats(width: int, *cols: np.ndarray) -> np.ndarray:
-    """Positions whose row of cols equals a row at an earlier position.
-
-    Values lie in [0, width). Rows are first compared by one key, the row
-    read in base width modulo 2**64; the exact comparison of a stable
-    lexicographic sort runs only when two keys agree.
-    """
-    key = cols[0].astype(np.uint64)
-    for col in cols[1:]:
-        key *= np.uint64(width)
-        key += col.astype(np.uint64)
-    key.sort()
-    if not np.any(key[1:] == key[:-1]):
-        return np.zeros(0, dtype=np.int64)
-    del key
+def _repeats(*cols: np.ndarray) -> np.ndarray:
+    """Positions whose row of cols equals a row at an earlier position,
+    by the comparison of a stable lexicographic sort."""
     order = np.lexsort(cols[::-1])
     same = np.ones(max(order.size - 1, 0), dtype=bool)
     for col in cols:
@@ -244,26 +279,29 @@ def _header(ck: _Chunk, first: int, count: int, tag: int) -> tuple[int, int, int
     return n, m, t
 
 
-def _first_repeat(width: int, ids: np.ndarray, lines: np.ndarray,
+def _first_repeat(ids: list[np.ndarray], lines: list[np.ndarray],
                   template: str) -> SstpParseError | None:
-    """The error for the earliest row that repeats an earlier one, if any."""
-    pos = _repeats(width, *ids.T)
+    """The error for the earliest row of 0-based ids, kept in pieces with
+    the pieces of their line numbers, that repeats an earlier one, if any."""
+    rows = np.concatenate(ids)
+    pos = _repeats(*rows.T)
     if not pos.size:
         return None
     i = int(pos.min())
-    fields = {f"val{k}": int(x) for k, x in enumerate(ids[i].tolist(), start=1)}
-    return SstpParseError(template.format(**fields), int(lines[i]))
+    fields = {f"val{k}": x + 1 for k, x in enumerate(rows[i].tolist(), start=1)}
+    return SstpParseError(template.format(**fields), int(np.concatenate(lines)[i]))
 
 
 def _scan(ck: _Chunk, first: np.ndarray, count: np.ndarray, tag: np.ndarray,
-          n: int, line_type: type) -> tuple:
+          n: int) -> tuple:
     """Check the lines after the header in one chunk, in the order of the
-    line-by-line checks but without the duplicate test. Returns the ids
-    and line numbers of the well-formed edge lines and terminal lines,
-    then the error of the first bad line or None."""
+    line-by-line checks but without the duplicate test. Returns the
+    0-based ids and the line numbers of the well-formed edge lines and
+    terminal lines, then the error of the first bad line or None."""
     fault = np.where(tag == ord("p"), DUPLICATE_HEADER, UNRECOGNIZED).astype(np.int8)
     last_token = ck.start.size - 1
     id_type = _index_dtype(n)
+    line_type = _index_dtype(ck.lines_after + 1)
 
     def values(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(is_int, value) of the k-th token of each row, read within bounds."""
@@ -278,7 +316,7 @@ def _scan(ck: _Chunk, first: np.ndarray, count: np.ndarray, tag: np.ndarray,
          (u < 1) | (u > n) | (v < 1) | (v > n), u > v],
         [BAD_EDGE, U_NOT_INT, V_NOT_INT, SELF_LOOP, EDGE_RANGE, EDGE_ORDER], 0)
     ok = fault[e] == 0
-    rows = [np.stack((u[ok], v[ok]), axis=1).astype(id_type),
+    rows = [np.stack((u[ok] - 1, v[ok] - 1), axis=1).astype(id_type),
             ck.line[first[e[ok]]].astype(line_type)]
 
     r = np.flatnonzero(tag == ord("t"))
@@ -286,7 +324,7 @@ def _scan(ck: _Chunk, first: np.ndarray, count: np.ndarray, tag: np.ndarray,
     fault[r] = np.select([count[r] != 2, ~x_int, (x < 1) | (x > n)],
                          [BAD_TERMINAL, T_NOT_INT, TERMINAL_RANGE], 0)
     ok = fault[r] == 0
-    rows += [x[ok][:, None].astype(id_type), ck.line[first[r[ok]]].astype(line_type)]
+    rows += [(x[ok] - 1)[:, None].astype(id_type), ck.line[first[r[ok]]].astype(line_type)]
 
     bad = np.flatnonzero(fault)
     if not bad.size:
@@ -295,9 +333,9 @@ def _scan(ck: _Chunk, first: np.ndarray, count: np.ndarray, tag: np.ndarray,
     return *rows, _fault(ck, int(first[i]), int(count[i]), _MESSAGES[int(fault[i])])
 
 
-def parse_instance(text: str | bytes) -> SteinerInstance:
-    """Parse SSTP text, or the UTF-8 bytes of an SSTP file, into a
-    SteinerInstance.
+def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
+    """Parse SSTP text, the UTF-8 bytes of an SSTP file, or an SSTP file
+    open in binary mode, into a SteinerInstance.
 
     Raises SstpParseError (with a 1-based line number) on malformed
     headers, bad ids, self-loops, duplicate edges or terminals, count
@@ -308,23 +346,29 @@ def parse_instance(text: str | bytes) -> SteinerInstance:
     Bytes that are not UTF-8 raise UnicodeDecodeError, as decoding the
     whole file first would, before any SstpParseError.
 
-    One pass reads the bytes in chunks (see the module docstring); the
-    duplicate test and the count checks run on the rows kept per chunk,
-    int32 when the ids and line numbers fit, after the last chunk.
+    One pass reads the source in chunks (see the module docstring) and
+    keeps, per chunk, the rows of edge and terminal ids and their line
+    numbers, int32 when they fit. When no line is malformed and the counts
+    match the header, the graph is built straight from those rows, whose
+    one sort also finds a repeated edge; only then are the rows joined to
+    find the line of the earliest repeat.
     """
-    strict = not isinstance(text, str)
-    data = text if strict else text.encode("utf-8", "surrogatepass")
-    line_type = _index_dtype(len(data) + 1)
+    strict = not isinstance(source, str)
+    if not strict:
+        source = source.encode("utf-8", "surrogatepass")
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
     header: tuple[int, int, int] | None = None
     fault: SstpParseError | None = None
-    kept = []  # per chunk: edge ids, their lines, terminal ids, their lines
-    lines_before = 0
-    for start, stop in _cuts(data):
+    kept = ([], [], [], [])  # per chunk: edge ids, their lines, terminal ids, their lines
+    offset = lines_before = 0
+    for chunk in _chunks(source):
         if strict:
-            _check_utf8(data, start, stop)
+            _check_utf8(chunk, offset)
+        offset += len(chunk)
         if fault is not None:
             continue  # later lines cannot fail first, but the bytes may
-        ck = _Chunk(np.frombuffer(data, np.uint8, stop - start, start), lines_before)
+        ck = _Chunk(np.frombuffer(chunk, np.uint8), lines_before)
         lines_before = ck.lines_after
         first, count, tag = ck.statements()
         if header is None and first.size:
@@ -335,32 +379,40 @@ def parse_instance(text: str | bytes) -> SteinerInstance:
                 continue
             first, count, tag = first[1:], count[1:], tag[1:]
         if header is not None:
-            *rows, fault = _scan(ck, first, count, tag, header[0], line_type)
-            kept.append(rows)
-        del ck, first, count, tag  # free this chunk before the next is read
+            *rows, fault = _scan(ck, first, count, tag, header[0])
+            for pieces, row in zip(kept, rows):
+                pieces.append(row)
+        del chunk, ck, first, count, tag  # free this chunk before the next is read
     if header is None:
         raise fault or SstpParseError("missing header")
 
     n, m, t = header
-    pairs, pair_lines, x, x_lines = map(np.concatenate, zip(*kept))
+    pairs, pair_lines, terminals, terminal_lines = kept
     del kept
-    found = [fault, _first_repeat(n + 1, pairs, pair_lines, _MESSAGES[DUPLICATE_EDGE]),
-             _first_repeat(n + 1, x, x_lines, _MESSAGES[DUPLICATE_TERMINAL])]
-    del pair_lines, x_lines
+    repeated_terminal = _first_repeat(terminals, terminal_lines, _MESSAGES[DUPLICATE_TERMINAL])
+    x = np.concatenate(terminals)[:, 0]
+    edges = sum(map(len, pairs))
+    if fault is None and repeated_terminal is None and edges == m and len(x) == t:
+        # the header has m >= n - 1 and m rows were read, so the build is
+        # sized by the input, not by the header alone
+        try:
+            graph = Graph(n, *_csr(n, pairs))
+        except ValueError as exc:  # a repeated edge; only the rows know its line
+            raise _first_repeat(pairs, pair_lines, _MESSAGES[DUPLICATE_EDGE]) or exc
+        del pairs, pair_lines
+        try:
+            return SteinerInstance(graph=graph, terminals=tuple(x.tolist()))
+        except ValueError as exc:  # terminals were checked above: not connected
+            raise SstpParseError(str(exc)) from exc
+
+    found = [fault, repeated_terminal,
+             _first_repeat(pairs, pair_lines, _MESSAGES[DUPLICATE_EDGE])]
     found = [exc for exc in found if exc is not None]
     if found:
         raise min(found, key=lambda exc: exc.line)
-    if len(pairs) != m:
-        raise SstpParseError(f"header promises {m} edges, found {len(pairs)}")
-    if len(x) != t:
-        raise SstpParseError(f"header promises {t} terminals, found {len(x)}")
-    pairs -= 1
-    graph = Graph.from_edges(n, pairs)
-    del pairs
-    try:
-        return SteinerInstance(graph=graph, terminals=tuple((x[:, 0] - 1).tolist()))
-    except ValueError as exc:  # terminals were checked above: not connected
-        raise SstpParseError(str(exc)) from exc
+    if edges != m:
+        raise SstpParseError(f"header promises {m} edges, found {edges}")
+    raise SstpParseError(f"header promises {t} terminals, found {len(x)}")
 
 
 def _blocks(inst: SteinerInstance) -> Iterator[str]:

@@ -45,6 +45,29 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(-1, [])
 
 
+def test_from_edges_at_the_key_width_boundary():
+    """n**2 crosses 2**31 between n = 46340 (int32 sort keys) and 46341
+    (int64). At both, edges on the top ids give the CSR of the sorted
+    pairs, with int32 indices, and a repeat gives the same message."""
+    messages = set()
+    for n in (46340, 46341):
+        top = n - 1
+        edges = [(top - 1, top), (0, top), (top - 3, top - 2), (1, top - 1),
+                 (2, 46339), (0, 1), (top - 2, top)]
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for u, v in sorted(edges):
+            rows[u].append(v)
+            rows[v].append(u)
+        g = Graph.from_edges(n, np.array(edges))
+        assert g._indices.dtype == np.int32
+        assert g._indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+        assert g._indices.tolist() == [w for r in rows for w in sorted(r)]
+        with pytest.raises(ValueError) as exc:
+            Graph.from_edges(n, edges + [(46339, 2)])
+        messages.add(str(exc.value))
+    assert messages == {"duplicate edge (2, 46339)"}
+
+
 def test_edges_iterates_lexicographically():
     g = Graph.from_edges(4, [(2, 3), (0, 2), (0, 1)])
     assert list(g.edges()) == [(0, 1), (0, 2), (2, 3)]
