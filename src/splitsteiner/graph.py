@@ -82,6 +82,20 @@ class Graph:
         i = int(np.searchsorted(nb, v))
         return i < len(nb) and int(nb[i]) == v
 
+    def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """has_edge(u[i], v[i]) for each i, ids in range, by one bisection
+        of the rows of all the u[i] at once."""
+        lo, end = self._indptr[u], self._indptr[u + 1]
+        if not self._indices.size:
+            return np.zeros(len(lo), dtype=bool)
+        hi = end.copy()
+        while (open_ := lo < hi).any():
+            mid = (lo + hi) >> 1
+            below = self._indices.take(mid, mode="clip") < v
+            lo = np.where(open_ & below, mid + 1, lo)
+            hi = np.where(open_ & ~below, mid, hi)
+        return (lo < end) & (self._indices.take(lo, mode="clip") == v)
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, lexicographically."""
         for u in range(self.n):
@@ -111,11 +125,20 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+class RepeatedEdgeError(ValueError):
+    """A graph's edges repeat a pair; keys holds the sorted keys u * n + v,
+    in either orientation, that equal the key before them."""
+
+    def __init__(self, message: str, keys: np.ndarray):
+        super().__init__(message)
+        self.keys = keys
+
+
 def _csr(n: int, pieces: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices) of the simple graph on n vertices whose edges are
     the rows of pieces, (k, 2) integer arrays of ids in [0, n) with no
-    self-loop. Raises ValueError naming the smallest repeated pair, in
-    either orientation.
+    self-loop. Raises RepeatedEdgeError naming the smallest repeated pair,
+    in either orientation.
 
     One key per orientation, u * n + v, is written straight from the
     pieces into one array, int32 when n**2 fits, and sorted in place:
@@ -136,8 +159,10 @@ def _csr(n: int, pieces: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     keys.sort()
     same = np.flatnonzero(keys[1:] == keys[:-1])
     if same.size:
-        u, v = divmod(int(keys[same[0]]), n)
-        raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+        repeated = keys[same]
+        del keys  # the traceback keeps this frame alive
+        u, v = divmod(int(repeated[0]), n)
+        raise RepeatedEdgeError(f"duplicate edge ({min(u, v)}, {max(u, v)})", repeated)
     # needles of the keys' dtype, or numpy casts every key to int64
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=key_type) * n)
     indices = keys if key_type is np.int32 else np.empty(2 * m, dtype=np.int32)

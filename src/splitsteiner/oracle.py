@@ -18,6 +18,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import OracleBudgetError, SplitSteinerError
 from .graph import Graph
 from .split import split_partition
@@ -137,6 +139,14 @@ def _is_spanning_tree(g: Graph, members: set[int],
                       edges: list[tuple[int, int]]) -> bool:
     if len(edges) != max(len(members) - 1, 0):
         return False
+    if edges:
+        # every endpoint a member and every pair an edge of g, looked up
+        # in the CSR rows for all the pairs at once
+        pairs = np.array(edges, dtype=np.int64)
+        if not (np.isin(pairs, np.fromiter(members, np.int64, len(members))).all()
+                and ((pairs >= 0) & (pairs < g.n)).all()
+                and g.has_edges(pairs[:, 0], pairs[:, 1]).all()):
+            return False
     parent = {v: v for v in members}
 
     def root(v: int) -> int:
@@ -146,8 +156,6 @@ def _is_spanning_tree(g: Graph, members: set[int],
         return v
 
     for u, v in edges:
-        if u not in parent or v not in parent or not g.has_edge(u, v):
-            return False
         ru, rv = root(u), root(v)
         if ru == rv:
             return False

@@ -20,11 +20,17 @@ Parsing is one pass over chunks of UTF-8 bytes read from the source,
 each about CHUNK_BYTES long and cut just after a \\n byte. A \\n always
 ends a line and is never part of a \\r\\n pair's first half or of a
 multi-byte UTF-8 sequence, so no line, token or character spans two
-chunks. A chunk is tokenized with array operations and checked line by
-line; only one row of ids and a line number per edge and per terminal
-outlive it, as int32 when they fit: 12 bytes per edge. The graph is built
-from those rows with one sort of one int32 key per edge and orientation
-(int64 once n**2 >= 2**31), 8 bytes per edge that become the CSR indices.
+chunks. A chunk is tokenized with array operations (see _Chunk): bytes
+are classed by range comparisons, token bounds come from one flatnonzero,
+and each number is read from one unaligned little-endian 8-byte word per
+8 digits, whose digits are tested and joined by integer arithmetic on
+the whole word. The chunk is then checked line by line; only one row of
+ids and a line number per edge and per terminal outlive it, as int32 when
+they fit: 12 bytes per edge. The graph is built from those rows with one
+sort of one int32 key per edge and orientation (int64 once
+n**2 >= 2**31), 8 bytes per edge that become the CSR indices. That sort
+also yields every repeated key; the line of the earliest repeat is then
+found by scanning the rows a chunk's piece at a time for those keys.
 Parsing an open file therefore holds O(CHUNK_BYTES) bytes of text and
 per-chunk temporaries plus about 22 bytes per edge at its peak (rows,
 keys and a mask comparing neighbouring keys), and never the file's bytes;
@@ -40,31 +46,72 @@ higher vertices, so a writer holds one row's text, not the file's.
 from __future__ import annotations
 
 import io
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import BinaryIO, TextIO
 
 import numpy as np
 
 from .errors import SstpParseError
-from .graph import Graph, _csr, is_connected
+from .graph import Graph, RepeatedEdgeError, _csr, is_connected
 
 MAX_DIGITS = 18  # 10**18 - 1 < 2**63
 # bytes per chunk of the parse, chosen by measurement (BENCH_sstp_chunked.json)
 CHUNK_BYTES = 1 << 18
 
+# Tokens are decoded 8 bytes at a time from little-endian int64 words, so
+# the first byte of a word is its lowest-order byte; additions wrap and
+# the masks drop what a right shift copies of the sign. _TOP[k] keeps the
+# last min(k, 8) bytes of a word: -2**b has every bit from b up set.
+_TOP = np.array([0] + [-2**(64 - 8 * k) for k in range(1, 9)], dtype=np.int64)
+_ZEROS = 0x3030303030303030  # '0' in every byte
+_HIGH_BITS = np.int64(0x8080808080808080 - 2**64)  # 0x80 in every byte
+_OVER_9 = 0x7676767676767676  # 0x76 + b sets the high bit iff b > 9
 
-def _byte_table(members: bytes) -> np.ndarray:
-    table = np.zeros(256, dtype=bool)
-    table[list(members)] = True
-    return table
+
+def _words(data: np.ndarray) -> np.ndarray:
+    """The little-endian 8-byte word at every byte offset of data, as a
+    view of its bytes; data shorter than 8 bytes is copied, padded."""
+    if data.size < 8:
+        data = np.concatenate((data, np.zeros(8 - data.size, np.uint8)))
+    return np.ndarray((data.size - 7,), dtype="<i8", buffer=data, strides=(1,))
 
 
-# the ASCII line breaks of str.splitlines; with tab, \x1f and space they
-# are the ASCII whitespace of str.split
-_IS_BREAK = _byte_table(b"\n\r\x0b\x0c\x1c\x1d\x1e")
-_IS_SPACE = _byte_table(b"\n\r\x0b\x0c\x1c\x1d\x1e\t\x1f ")
-_IS_NONDIGIT = ~(_IS_SPACE | _byte_table(b"0123456789"))
+def _decode(words: np.ndarray, end: np.ndarray, length: np.ndarray) -> tuple:
+    """(is_digits, value) of the last min(length, 8) bytes before each of
+    the ascending ends: whether all are ASCII digits and, where they are,
+    the number they spell.
+
+    One word is read per end, the one that ends there (the first word of
+    data where end < 8, shifted up), so the token's last byte is the top
+    byte. The bytes before the token are cleared and '0' is taken from
+    the others. Every byte is then a digit iff neither it nor it plus 0x76
+    has its high bit set: the lowest non-digit byte sets it in one of the
+    two, since no byte below it borrows or carries. Three multiply-shift
+    steps join the digits in pairs, fours and eights.
+    """
+    # indexing, not take: take copies a strided array whole first
+    w = words[np.maximum(end - 8, 0)]
+    short = int(np.searchsorted(end, 8))
+    if short:
+        w[:short] <<= 8 * (8 - end[:short])
+    top = _TOP.take(length, mode="clip")
+    w &= top
+    top &= _ZEROS
+    w -= top
+    np.add(w, _OVER_9, out=top)
+    top |= w
+    top &= _HIGH_BITS
+    w *= 10 << 8 | 1
+    w >>= 8
+    w &= 0x00FF00FF00FF00FF
+    w *= 100 << 16 | 1
+    w >>= 16
+    w &= 0x0000FFFF0000FFFF
+    w *= 10000 << 32 | 1
+    w >>= 32
+    return top == 0, w
+
 
 # faults of the lines after the header, in the order the checks run
 (UNRECOGNIZED, DUPLICATE_HEADER,
@@ -184,153 +231,196 @@ class _Chunk:
     """The whitespace-separated tokens of one chunk of UTF-8 bytes that
     begins a line, numbered on from the line0 lines before it.
 
-    Temporaries are one byte per chunk byte or a few words per token:
-    token bounds come from flatnonzero on the whitespace edges, line
-    numbers from searchsorted on the break positions, and the digit test
-    from a logical-or reduction of a per-byte mask over each token.
+    Bytes are classed by range: whitespace is 9-13 and 28-32, line breaks
+    10-13 and 28-30, and a \\n right after \\r ends no line of its own.
+    Only the bytes below 32 are listed and classed one by one; a byte above
+    31 is whitespace iff it is a space. Token bounds come from flatnonzero
+    over one bool per byte that marks whitespace. start and end (int64,
+    as flatnonzero gives them), is_int and value (int64, the token's
+    number where is_int) hold one entry per token; _decode reads value
+    from one word per 8 digits. statements() finds each line's first
+    token and token count from the break positions alone. Temporaries
+    are two bools per chunk byte, then a few words per token; a chunk of
+    8 bytes or more is never copied.
     """
 
     def __init__(self, data: np.ndarray, line0: int):
         self.data = data
-        inside = np.zeros(data.size + 2, dtype=bool)
-        np.logical_not(_IS_SPACE[data], out=inside[1:-1])
-        bounds = np.flatnonzero(inside[1:] != inside[:-1]).reshape(-1, 2)
-        del inside
-        self.start, self.end = bounds.T.copy()
+        self.line0 = line0
+        low = np.flatnonzero(data < 32)
+        byte = data.take(low)
+        breaks = low[(byte - 10 < 4) | (byte - 28 < 3)]
+        # with mode="clip" a \n at byte 0 is compared with itself, not
+        # with the chunk's last byte
+        crlf = data.take(breaks) == ord("\n")
+        crlf[crlf] = data.take(breaks[crlf] - 1, mode="clip") == ord("\r")
+        # a copy: holding the masked result itself raised the peak RSS of
+        # a CLI run on small files by about 0.3 MB (allocation layout)
+        self.breaks = breaks[~crlf].astype(np.int64)
+        self.lines_after = line0 + self.breaks.size
+        space = np.empty(data.size + 2, dtype=bool)
+        space[0] = space[-1] = True
+        np.less_equal(data, 32, out=space[1:-1])
+        space[low[(byte < 9) | (byte - 14 < 14)] + 1] = False
+        del low, byte, breaks, crlf
+        bounds = np.flatnonzero(space[1:] != space[:-1])
+        del space
+        self.start = bounds[0::2].astype(np.int64)
+        self.end = bounds[1::2].astype(np.int64)
         del bounds
-        breaks = np.flatnonzero(_IS_BREAK[data])
-        crlf = (breaks > 0) & (data[breaks] == ord("\n")) & (data[breaks - 1] == ord("\r"))
-        breaks = breaks[~crlf]
-        self.line = np.searchsorted(breaks, self.start) + (line0 + 1)
-        self.lines_after = line0 + breaks.size
-        del breaks, crlf
         length = self.end - self.start
-        # each reduced run goes from one token's start to the next one's;
-        # the whitespace between them holds no non-digit byte
-        self.is_int = length <= MAX_DIGITS
-        if self.start.size:
-            self.is_int &= ~np.logical_or.reduceat(_IS_NONDIGIT[data], self.start)
-        self.value = np.zeros(self.start.size, dtype=np.int64)
-        ints = np.flatnonzero(self.is_int)
-        for j in range(MAX_DIGITS):
-            ints = ints[length[ints] > j]
-            if not ints.size:
+        words = _words(data)
+        self.is_int, self.value = _decode(words, self.end, length)
+        self.is_int &= length <= MAX_DIGITS
+        # tokens of 9 to 18 digits: 8 more digits from each earlier word
+        more = np.flatnonzero(self.is_int & (length > 8))
+        for k in (1, 2):
+            if not more.size:
                 break
-            self.value[ints] = self.value[ints] * 10 + (data[self.start[ints] + j] - ord("0"))
+            left = length.take(more) - 8 * k
+            digits, part = _decode(words, self.end.take(more) - 8 * k, left)
+            self.is_int[more] = digits
+            self.value[more] += part * 10**(8 * k)
+            more = more[digits & (left > 8)]
 
     def text(self, first: int, last: int | None = None) -> str:
         """Tokens first..last (default: first alone) with what lies between."""
         end = self.end[first if last is None else last]
         return self.data[self.start[first]:end].tobytes().decode("utf-8", "surrogatepass")
 
-    def statements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(first token, token count, tag) of each line that is not blank
-        or a comment; the tag is the byte of a one-byte first token, else 0."""
-        first = np.flatnonzero(np.diff(self.line, prepend=0))
-        count = np.diff(first, append=self.start.size)
-        lead = self.data[self.start[first]]
+    def statements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(first token, token count, tag, line number) of each line that
+        is not blank or a comment; the tag is the byte of a one-byte first
+        token, else 0. A line's tokens are those between two breaks."""
+        cut = np.searchsorted(self.start, self.breaks)
+        count = np.diff(cut, prepend=0, append=self.start.size)
+        line = np.flatnonzero(count)
+        first = np.concatenate(([0], cut)).take(line)
+        count = count.take(line)
+        lead = self.data.take(self.start.take(first))
         keep = lead != ord("#")
-        first, count, lead = first[keep], count[keep], lead[keep]
-        tag = np.where(self.end[first] - self.start[first] == 1, lead, 0)
-        return first, count, tag
+        first, count, lead, line = first[keep], count[keep], lead[keep], line[keep]
+        tag = np.where(self.end.take(first) - self.start.take(first) == 1, lead, 0)
+        return first, count, tag, line + (self.line0 + 1)
 
 
-def _repeats(*cols: np.ndarray) -> np.ndarray:
-    """Positions whose row of cols equals a row at an earlier position,
-    by the comparison of a stable lexicographic sort."""
-    order = np.lexsort(cols[::-1])
-    same = np.ones(max(order.size - 1, 0), dtype=bool)
-    for col in cols:
-        ranked = col[order]
-        same &= ranked[1:] == ranked[:-1]
-    return order[1:][same]
-
-
-def _fault(ck: _Chunk, first: int, count: int, template: str) -> SstpParseError:
-    """The error for the line whose tokens are first..first+count-1;
+def _fault(ck: _Chunk, first: int, count: int, line: int, template: str) -> SstpParseError:
+    """The error for line number line, whose tokens are first..first+count-1;
     the template may name the line, its 2nd and 3rd tokens and their values."""
     fields = {"line": ck.text(first, first + count - 1)}
     for k in range(1, min(count, 3)):
         fields[f"tok{k}"] = ck.text(first + k)
         fields[f"val{k}"] = int(ck.value[first + k])
-    return SstpParseError(template.format(**fields), int(ck.line[first]))
+    return SstpParseError(template.format(**fields), line)
 
 
-def _header(ck: _Chunk, first: int, count: int, tag: int) -> tuple[int, int, int]:
+def _header(ck: _Chunk, first: int, count: int, tag: int,
+            line: int) -> tuple[int, int, int]:
     """(n, m, t) from the first line that is not a comment; raises unless
     it is a well-formed header whose edge count can connect n vertices."""
     if tag != ord("p"):
         before = {ord("e"): "edge before header", ord("t"): "terminal before header"}
-        raise _fault(ck, first, count, before.get(tag, _MESSAGES[UNRECOGNIZED]))
+        raise _fault(ck, first, count, line, before.get(tag, _MESSAGES[UNRECOGNIZED]))
     if count != 5 or ck.text(first + 1) != "sstp":
-        raise _fault(ck, first, count, "bad header: {line!r}")
+        raise _fault(ck, first, count, line, "bad header: {line!r}")
     counts = []
     for k, what in ((2, "vertex count"), (3, "edge count"), (4, "terminal count")):
         if not ck.is_int[first + k]:
-            raise SstpParseError(f"{what} is not an integer: {ck.text(first + k)!r}",
-                                 int(ck.line[first]))
+            raise SstpParseError(f"{what} is not an integer: {ck.text(first + k)!r}", line)
         counts.append(int(ck.value[first + k]))
     n, m, t = counts
     if m < n - 1:
         # reject before allocating anything of size n
         raise SstpParseError(
-            f"graph is not connected: {m} edges cannot connect {n} vertices",
-            int(ck.line[first]))
+            f"graph is not connected: {m} edges cannot connect {n} vertices", line)
     return n, m, t
 
 
-def _first_repeat(ids: list[np.ndarray], lines: list[np.ndarray],
-                  template: str) -> SstpParseError | None:
-    """The error for the earliest row of 0-based ids, kept in pieces with
-    the pieces of their line numbers, that repeats an earlier one, if any."""
-    rows = np.concatenate(ids)
-    pos = _repeats(*rows.T)
-    if not pos.size:
+def _edge_keys(n: int, pairs: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """The key u * n + v of each row (u, v), one piece of rows at a time."""
+    return (p[:, 0].astype(np.int64) * n + p[:, 1] for p in pairs)
+
+
+def _repeated(keys: list[np.ndarray]) -> np.ndarray:
+    """Every key that occurs more than once in the pieces."""
+    joined = np.concatenate(keys)
+    joined.sort()
+    return joined[1:][joined[1:] == joined[:-1]]
+
+
+def _first_repeat(keys: Iterable[np.ndarray], lines: list[np.ndarray],
+                  repeated: np.ndarray) -> tuple[int, int] | None:
+    """(key, line number) of the earliest row whose key an earlier row
+    has, from the rows' keys and line numbers in pieces, in row order, and
+    every repeated key. Only the rows with a repeated key are joined."""
+    if not repeated.size:
         return None
-    i = int(pos.min())
-    fields = {f"val{k}": x + 1 for k, x in enumerate(rows[i].tolist(), start=1)}
-    return SstpParseError(template.format(**fields), int(np.concatenate(lines)[i]))
+    found, found_lines = [], []
+    for key, line in zip(keys, lines):
+        hit = np.isin(key, repeated)
+        found.append(key[hit])
+        found_lines.append(line[hit])
+    found = np.concatenate(found)
+    later = np.ones(found.size, dtype=bool)
+    later[np.unique(found, return_index=True)[1]] = False
+    i = int(np.argmax(later))
+    return int(found[i]), int(np.concatenate(found_lines)[i])
+
+
+def _edge_repeat(n: int, pairs: list[np.ndarray], lines: list[np.ndarray],
+                 repeated: np.ndarray) -> SstpParseError | None:
+    """The error for the earliest edge row that repeats an earlier one,
+    given every repeated key u * n + v, if any."""
+    found = _first_repeat(_edge_keys(n, pairs), lines, repeated)
+    if found is None:
+        return None
+    u, v = divmod(found[0], n)
+    return SstpParseError(_MESSAGES[DUPLICATE_EDGE].format(val1=u + 1, val2=v + 1), found[1])
 
 
 def _scan(ck: _Chunk, first: np.ndarray, count: np.ndarray, tag: np.ndarray,
-          n: int) -> tuple:
+          line: np.ndarray, n: int) -> tuple:
     """Check the lines after the header in one chunk, in the order of the
     line-by-line checks but without the duplicate test. Returns the
     0-based ids and the line numbers of the well-formed edge lines and
     terminal lines, then the error of the first bad line or None."""
     fault = np.where(tag == ord("p"), DUPLICATE_HEADER, UNRECOGNIZED).astype(np.int8)
-    last_token = ck.start.size - 1
     id_type = _index_dtype(n)
     line_type = _index_dtype(ck.lines_after + 1)
 
     def values(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(is_int, value) of the k-th token of each row, read within bounds."""
-        tok = np.minimum(first[rows] + k, last_token)
-        return ck.is_int[tok], ck.value[tok]
+        tok = first.take(rows) + k
+        return ck.is_int.take(tok, mode="clip"), ck.value.take(tok, mode="clip")
 
     e = np.flatnonzero(tag == ord("e"))
     u_int, u = values(e, 1)
     v_int, v = values(e, 2)
-    fault[e] = np.select(
-        [count[e] != 3, ~u_int, ~v_int, u == v,
-         (u < 1) | (u > n) | (v < 1) | (v > n), u > v],
-        [BAD_EDGE, U_NOT_INT, V_NOT_INT, SELF_LOOP, EDGE_RANGE, EDGE_ORDER], 0)
-    ok = fault[e] == 0
-    rows = [np.stack((u[ok] - 1, v[ok] - 1), axis=1).astype(id_type),
-            ck.line[first[e[ok]]].astype(line_type)]
+    ok = (count.take(e) == 3) & u_int & v_int & (u >= 1) & (u < v) & (v <= n)
+    fault[e] = 0
+    if not ok.all():
+        fault[e] = np.select(
+            [count[e] != 3, ~u_int, ~v_int, u == v,
+             (u < 1) | (u > n) | (v < 1) | (v > n), u > v],
+            [BAD_EDGE, U_NOT_INT, V_NOT_INT, SELF_LOOP, EDGE_RANGE, EDGE_ORDER], 0)
+        u, v, e = u[ok], v[ok], e[ok]
+    pair = np.stack((u, v), axis=1, dtype=id_type)
+    pair -= 1
+    rows = [pair, line.take(e).astype(line_type)]
 
     r = np.flatnonzero(tag == ord("t"))
     x_int, x = values(r, 1)
     fault[r] = np.select([count[r] != 2, ~x_int, (x < 1) | (x > n)],
                          [BAD_TERMINAL, T_NOT_INT, TERMINAL_RANGE], 0)
     ok = fault[r] == 0
-    rows += [(x[ok] - 1)[:, None].astype(id_type), ck.line[first[r[ok]]].astype(line_type)]
+    rows += [(x[ok] - 1)[:, None].astype(id_type), line[r[ok]].astype(line_type)]
 
     bad = np.flatnonzero(fault)
     if not bad.size:
         return *rows, None
     i = bad[0]
-    return *rows, _fault(ck, int(first[i]), int(count[i]), _MESSAGES[int(fault[i])])
+    return *rows, _fault(ck, int(first[i]), int(count[i]), int(line[i]),
+                         _MESSAGES[int(fault[i])])
 
 
 def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
@@ -350,8 +440,8 @@ def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
     keeps, per chunk, the rows of edge and terminal ids and their line
     numbers, int32 when they fit. When no line is malformed and the counts
     match the header, the graph is built straight from those rows, whose
-    one sort also finds a repeated edge; only then are the rows joined to
-    find the line of the earliest repeat.
+    one sort also finds every repeated edge; only then are the rows
+    scanned, piece by piece, for the line of the earliest repeat.
     """
     strict = not isinstance(source, str)
     if not strict:
@@ -370,35 +460,38 @@ def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
             continue  # later lines cannot fail first, but the bytes may
         ck = _Chunk(np.frombuffer(chunk, np.uint8), lines_before)
         lines_before = ck.lines_after
-        first, count, tag = ck.statements()
-        if header is None and first.size:
+        lines = ck.statements()  # first token, token count, tag, line number
+        if header is None and lines[0].size:
             try:
-                header = _header(ck, int(first[0]), int(count[0]), int(tag[0]))
+                header = _header(ck, *(int(col[0]) for col in lines))
             except SstpParseError as exc:
                 fault = exc
                 continue
-            first, count, tag = first[1:], count[1:], tag[1:]
+            lines = tuple(col[1:] for col in lines)
         if header is not None:
-            *rows, fault = _scan(ck, first, count, tag, header[0])
+            *rows, fault = _scan(ck, *lines, header[0])
             for pieces, row in zip(kept, rows):
                 pieces.append(row)
-        del chunk, ck, first, count, tag  # free this chunk before the next is read
+        del chunk, ck, lines  # free this chunk before the next is read
     if header is None:
         raise fault or SstpParseError("missing header")
 
     n, m, t = header
     pairs, pair_lines, terminals, terminal_lines = kept
     del kept
-    repeated_terminal = _first_repeat(terminals, terminal_lines, _MESSAGES[DUPLICATE_TERMINAL])
-    x = np.concatenate(terminals)[:, 0]
+    terminals = [p[:, 0] for p in terminals]
+    repeat = _first_repeat(terminals, terminal_lines, _repeated(terminals))
+    repeated_terminal = None if repeat is None else SstpParseError(
+        _MESSAGES[DUPLICATE_TERMINAL].format(val1=repeat[0] + 1), repeat[1])
+    x = np.concatenate(terminals)
     edges = sum(map(len, pairs))
     if fault is None and repeated_terminal is None and edges == m and len(x) == t:
         # the header has m >= n - 1 and m rows were read, so the build is
         # sized by the input, not by the header alone
         try:
             graph = Graph(n, *_csr(n, pairs))
-        except ValueError as exc:  # a repeated edge; only the rows know its line
-            raise _first_repeat(pairs, pair_lines, _MESSAGES[DUPLICATE_EDGE]) or exc
+        except RepeatedEdgeError as exc:  # only the rows know the line
+            raise _edge_repeat(n, pairs, pair_lines, exc.keys) or exc
         del pairs, pair_lines
         try:
             return SteinerInstance(graph=graph, terminals=tuple(x.tolist()))
@@ -406,7 +499,7 @@ def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
             raise SstpParseError(str(exc)) from exc
 
     found = [fault, repeated_terminal,
-             _first_repeat(pairs, pair_lines, _MESSAGES[DUPLICATE_EDGE])]
+             _edge_repeat(n, pairs, pair_lines, _repeated(list(_edge_keys(n, pairs))))]
     found = [exc for exc in found if exc is not None]
     if found:
         raise min(found, key=lambda exc: exc.line)

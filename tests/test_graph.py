@@ -155,3 +155,17 @@ def test_bfs_tree_spans_reachable_component(case):
         assert u in seen  # parents are discovered before children
         seen.add(v)
     assert seen == set(range(n))
+
+
+@given(edge_lists(max_n=12), st.data())
+@settings(max_examples=100)
+def test_has_edges_matches_has_edge(case, data):
+    """The batched lookup agrees with has_edge on every pair, in both
+    orientations and with repeats, on graphs with isolated vertices too."""
+    n, edges = case
+    g = Graph.from_edges(n, edges)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=30))
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    assert g.has_edges(u, v).tolist() == [g.has_edge(a, b) for a, b in pairs]

@@ -156,6 +156,21 @@ def test_tree_certificate(level, k14_free):
             assert verify_solution(inst, s, bad) is False, (seed, bad)
 
 
+def test_tree_certificate_rejects_bad_edges():
+    """On a 4-cycle with a chord and a pendant vertex, certificates with
+    the right edge count are rejected when one pair is not an edge, an
+    edge leaves the members, an edge repeats, or an id is outside the
+    graph."""
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (3, 4)])
+    inst = SteinerInstance(graph=g, terminals=(0, 1, 3))
+    assert verify_solution(inst, (2,), [(1, 0), (0, 2), (3, 2)])
+    assert not verify_solution(inst, (2,), [(0, 1), (1, 3), (2, 3)])  # 1-3 is no edge
+    assert not verify_solution(inst, (2,), [(0, 1), (0, 2), (3, 4)])  # 4 is no member
+    assert not verify_solution(inst, (2,), [(0, 1), (0, 2), (2, 0)])  # 0-2 twice
+    assert not verify_solution(inst, (2,), [(0, 1), (0, 2), (3, 7)])  # 7 is no vertex
+    assert not verify_solution(inst, (2, 7), [(0, 1), (0, 2), (2, 3), (3, 7)])
+
+
 def test_tree_certificate_edge_cases():
     assert verify_solution(P3, (1,), [(0, 1), (1, 2)])
     assert verify_solution(P3, (1,), [(2, 1), (1, 0)])  # either orientation

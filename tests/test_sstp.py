@@ -1,11 +1,12 @@
 import io
+import re
 import tempfile
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from splitsteiner import (
     GeneratorConfig,
@@ -259,9 +260,17 @@ def test_eighteen_digits_fit():
 # tokens mix small ids, tags and the bytes the narrowed grammar rejects
 SPACES = [" ", " ", "\t", "  ", "\x1f"]
 LINE_ENDS = ["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+# digit runs at the lengths where the tokenizer reads one, two or three
+# 8-byte words, and the bytes around the digits: '/' and ':', NUL, the
+# separator \x1f, a non-ASCII character and a C1 control (UTF-8 c2 80)
+DIGIT_RUNS = st.builds(lambda k, x: str(x).zfill(k)[-k:],
+                       st.sampled_from([1, 7, 8, 9, 15, 16, 17, 18, 19]),
+                       st.integers(min_value=0, max_value=10**19))
 TOKENS = st.one_of(st.integers(min_value=0, max_value=7).map(str),
                    st.text(alphabet="+-_#petq0123456789", min_size=1, max_size=3),
-                   st.sampled_from(["sstp", "p", "e", "t", "9" * 19]))
+                   st.sampled_from(["sstp", "p", "e", "t", "9" * 19]),
+                   DIGIT_RUNS,
+                   st.text(alphabet="0123456789/:\x00\x1f\x80\u00e9", min_size=1, max_size=4))
 
 
 @st.composite
@@ -443,6 +452,97 @@ def test_matches_reference_in_tiny_chunks(text, chunk):
         assert _outcome(lambda _: _parse_file(text.encode("utf-8")), text) == expected
 
 
+# cases for the tokenizer's word reads and byte ranges; every chunk size
+# below also puts tokens at the first and last byte of a chunk
+WORD_CASES = {
+    **{f"terminal-{k}-digits": f"p sstp 3 2 1\ne 1 2\ne 2 3\nt {'1'.zfill(k)}\n"
+       for k in (1, 7, 8, 9, 15, 16, 17, 18, 19)},
+    **{f"endpoint-{k}-digits": f"p sstp 3 2 1\ne 1 2\ne 2 {'987654321098765432109'[:k]}\nt 1"
+       for k in (1, 7, 8, 9, 15, 16, 17, 18, 19)},
+    **{f"header-{k}-digits": f"p sstp {'123456789012345678901'[:k]} {'9' * k} 0\n"
+       for k in (1, 7, 8, 9, 15, 16, 17, 18, 19)},
+    "leading-zeros": "p sstp 003 0002 01\ne 01 002\ne 0002 3\nt 003\n",
+    "slash": "p sstp 3 2 1\ne 1 2\ne 2 3/\nt 1\n",
+    "colon": "p sstp 3 2 1\ne 1 2\ne :2 3\nt 1\n",
+    "nul": "p sstp 3 2 1\ne 1 2\ne 2 3\x00\nt 1\n",
+    "unit-separator": "p sstp 3 2 1\ne 1\x1f2\x1f\ne\x1f2 3\nt 1\x1f",
+    "non-ascii": "p sstp 3 2 1\ne 1 2\ne 2 3\u00e9\nt 1\n",
+    "c1-control": "p sstp 3 2 1\ne 1 2\ne 2 \x803\nt 1\n",
+    "number-first": "p sstp 3 2 1\ne 1 2\n12345678901 e 2 3\nt 1\n",
+    "breaks": "p sstp 3 2 1\re 1 2\r\ne 2 3\x0b\x1c\x1d\x1et 1\x1c\x1e\re 1 1",
+    "break-before-fault": "p sstp 3 2 1\r\re 1 2\x0c\x1de 2 3\x1e\r\nt 3 3",
+    "newline-first": "\np sstp 3 2 1\ne 1 2\ne 2 3\nt 3 3\r",
+}
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES + (sstp.CHUNK_BYTES,))
+@pytest.mark.parametrize("name", sorted(WORD_CASES))
+def test_word_cases_match_reference(name, chunk):
+    text = WORD_CASES[name]
+    expected = _outcome(reference_parse, text)
+    with mock.patch.object(sstp, "CHUNK_BYTES", chunk):
+        assert _outcome(parse_instance, text) == expected
+        assert _outcome(lambda _: _parse_file(text.encode("utf-8")), text) == expected
+
+
+def test_word_cases_reach_the_intended_outcome():
+    outcomes = {name: _outcome(reference_parse, text) for name, text in WORD_CASES.items()}
+    for k in (1, 7, 8, 9, 15, 16, 17, 18):
+        assert outcomes[f"terminal-{k}-digits"][0] == "instance"
+        assert outcomes[f"header-{k}-digits"][2].endswith(
+            f"promises {'9' * k} edges, found 0")
+    assert outcomes["terminal-19-digits"][1:] == (
+        4, f"line 4: terminal is not an integer: '{'1'.zfill(19)}'")
+    assert outcomes["endpoint-18-digits"][1:] == (
+        3, "line 3: edge (2, 987654321098765432) out of range")
+    assert outcomes["header-19-digits"][2] == (
+        "line 1: vertex count is not an integer: '1234567890123456789'")
+    assert outcomes["leading-zeros"][0] == "instance"
+    assert outcomes["unit-separator"][0] == "instance"
+    for name in ("slash", "colon", "nul", "non-ascii", "c1-control"):
+        assert outcomes[name][:2] == ("error", 3)
+        assert "is not an integer" in outcomes[name][2]
+    assert outcomes["number-first"][:2] == ("error", 3)
+    assert outcomes["breaks"][1:] == (10, "line 10: self-loop at vertex 1")
+    assert outcomes["newline-first"][1:] == (5, "line 5: bad terminal line: 't 3 3'")
+    assert outcomes["break-before-fault"][1:] == (
+        7, "line 7: bad terminal line: 't 3 3'")
+
+
+KERNEL_BYTES = st.lists(st.one_of(
+    st.sampled_from([b"0", b"9", b"/", b":", b"\x00", b"\x1f", b"\x80", b"\xff", b"#",
+                     b"e", b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c",
+                     b"\x1b", b"\x1c", b"\x1d", b"\x1e", b"!"]),
+    DIGIT_RUNS.map(str.encode)), max_size=12).map(b"".join)
+
+
+@given(KERNEL_BYTES, st.integers(min_value=0, max_value=3))
+@example(b"\n12\r", 0)  # a \n at byte 0 is no \r\n with the last byte
+@settings(max_examples=400)
+def test_chunk_kernel_matches_bytewise_reference(data, line0):
+    """_Chunk on any bytes, from 0 to ~200 long, gives the tokens, digit
+    tests, values and lines of a regex reading of the same bytes."""
+    ck = sstp._Chunk(np.frombuffer(data, np.uint8), line0)
+    token = re.compile(rb"[^\t\n\x0b\x0c\r\x1c-\x1f ]+")
+    spans = [m.span() for m in token.finditer(data)]
+    assert list(zip(ck.start.tolist(), ck.end.tolist())) == spans
+    tokens = [data[a:b] for a, b in spans]
+    is_int = [len(tok) <= 18 and tok.isdigit() for tok in tokens]
+    assert ck.is_int.tolist() == is_int
+    assert ck.value[ck.is_int].tolist() == [int(tok) for tok, ok in zip(tokens, is_int) if ok]
+
+    lines = re.split(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]", data)
+    assert ck.lines_after == line0 + len(lines) - 1
+    expected, index = [], 0
+    for number, line in enumerate(lines, start=line0 + 1):
+        words = token.findall(line)
+        if words and words[0][:1] != b"#":
+            lead = words[0]
+            expected.append((index, len(words), lead[0] if len(lead) == 1 else 0, number))
+        index += len(words)
+    assert list(zip(*(col.tolist() for col in ck.statements()))) == expected
+
+
 @pytest.mark.parametrize("chunk", [7, 1 << 18])
 def test_invalid_utf8_wins_as_in_a_whole_file_decode(monkeypatch, chunk):
     """Bytes that are not UTF-8 are reported as decoding the whole file
@@ -466,11 +566,12 @@ def test_parse_memory_grows_with_edges_not_bytes():
     """The tracemalloc peak of parse_instance on gen files of about 125k
     and 245k edges stays under A bytes per edge plus B per chunk byte.
 
-    Measured (Python 3.11, numpy 2.4): about 42 bytes per edge, of which
-    10 are the text's UTF-8 copy and 32 the CSR build, plus about 16 per
-    chunk byte for one chunk's temporaries. A and B leave twice that. A
-    parser holding whole-text temporaries peaks at about 200 bytes per
-    edge (20 per input byte) and fails both bounds.
+    Measured (Python 3.11, numpy 2.4): the peak falls in the last chunk's
+    tokenizing and grows by about 23 bytes per edge, the text's UTF-8 copy
+    (10) and the rows (12), plus about 12 per chunk byte for one chunk's
+    temporaries. A and B leave more than twice that. A parser holding
+    whole-text temporaries peaks at about 200 bytes per edge (20 per input
+    byte) and fails both bounds.
     """
     per_edge, per_chunk_byte = 90, 32
     measured = []
@@ -495,11 +596,12 @@ def test_parse_from_a_file_holds_rows_not_bytes(tmp_path):
     """The tracemalloc peak of parse_instance on open gen files of about
     245k and 500k edges grows by at most 24 bytes per edge between them.
 
-    Measured (Python 3.11, numpy 2.4): about 13. At the larger file the
+    Measured (Python 3.11, numpy 2.4): about 18. At the larger file the
     peak is the graph build, 22 bytes per edge: int32 rows and line
     numbers (12) and int32 sort keys (8), which become the CSR indices.
-    A parser that holds the file's bytes, or a second sort key per edge,
-    grows by about 43.
+    At the smaller it is the last chunk's tokenizing: the rows and about
+    3 MB of one chunk's temporaries. A parser that holds the file's
+    bytes, or a second sort key per edge, grows by about 43.
     """
     measured = []
     for clique in (700, 1000):
@@ -518,3 +620,37 @@ def test_parse_from_a_file_holds_rows_not_bytes(tmp_path):
     (m1, peak1), (m2, peak2) = measured
     assert m2 > 2 * m1
     assert (peak2 - peak1) / (m2 - m1) <= 24
+
+
+def test_duplicate_edge_costs_no_more_memory_than_a_valid_file(tmp_path):
+    """An open gen file of about 245k edges whose last edge line repeats
+    its first is reported at that line, and the tracemalloc peak of its
+    parse stays within the valid file's plus 8 bytes per chunk byte.
+
+    Measured (Python 3.11, numpy 2.4): both peak at about 6.5 MB. Joining
+    every row and line number to sort them, as the parse once did on this
+    path, peaked 4 MB (16 bytes per edge) above the valid file.
+    """
+    text = serialize_instance(gen_split(GeneratorConfig(
+        clique_size=700, independent_size=700, level=2, seed=1)))
+    lines = text.splitlines(keepends=True)
+    edge_lines = [i for i, line in enumerate(lines) if line.startswith("e ")]
+    lines[edge_lines[-1]] = lines[edge_lines[0]]
+    peaks = {}
+    for name, body in (("valid", text), ("duplicate", "".join(lines))):
+        path = tmp_path / f"{name}.sstp"
+        path.write_text(body, encoding="utf-8")
+        with open(path, "rb") as fh:
+            tracemalloc.start()
+            try:
+                parse_instance(fh)
+            except SstpParseError as exc:
+                error = exc
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+    u, v = lines[edge_lines[0]].split()[1:]
+    assert (error.line, str(error)) == (
+        edge_lines[-1] + 1, f"line {edge_lines[-1] + 1}: duplicate edge ({u}, {v})")
+    assert len(edge_lines) > 240_000
+    assert peaks["duplicate"] <= peaks["valid"] + 8 * sstp.CHUNK_BYTES
