@@ -29,10 +29,6 @@ from .x3c import parse_x3c, reduce_x3c
 _UNIVERSE_FLAG = {"all": "all-vertices", "clique": "clique-only"}
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _read_instance(path: str) -> SteinerInstance:
     # the parser reads the file in chunks and checks each is UTF-8, so
     # neither the file's bytes nor its text are ever held whole
@@ -121,7 +117,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    x = parse_x3c(_read(args.input))
+    with open(args.input, "rb") as fh:  # read and checked a chunk at a time
+        x = parse_x3c(fh)
     inst, q = reduce_x3c(x)
     with open(args.output, "w", encoding="utf-8") as fh:
         write_instance(inst, fh)

@@ -4,27 +4,22 @@ from __future__ import annotations
 
 
 class SplitSteinerError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class SstpParseError(SplitSteinerError):
-    """Malformed SSTP input. Carries the 1-based line number when known."""
+    """Base class for all package-specific errors. Carries the 1-based
+    line number of the input at fault, when there is one, as line."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class SstpParseError(SplitSteinerError):
+    """Malformed SSTP input."""
 
 
 class X3CParseError(SplitSteinerError):
     """Malformed X3C input."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class NotSplitError(SplitSteinerError):

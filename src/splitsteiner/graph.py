@@ -126,12 +126,7 @@ class Graph:
 
 
 class RepeatedEdgeError(ValueError):
-    """A graph's edges repeat a pair; keys holds the sorted keys u * n + v,
-    in either orientation, that equal the key before them."""
-
-    def __init__(self, message: str, keys: np.ndarray):
-        super().__init__(message)
-        self.keys = keys
+    """A graph's edges repeat a pair."""
 
 
 def _csr(n: int, pieces: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -159,10 +154,9 @@ def _csr(n: int, pieces: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     keys.sort()
     same = np.flatnonzero(keys[1:] == keys[:-1])
     if same.size:
-        repeated = keys[same]
+        u, v = divmod(int(keys[same[0]]), n)
         del keys  # the traceback keeps this frame alive
-        u, v = divmod(int(repeated[0]), n)
-        raise RepeatedEdgeError(f"duplicate edge ({min(u, v)}, {max(u, v)})", repeated)
+        raise RepeatedEdgeError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
     # needles of the keys' dtype, or numpy casts every key to int64
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=key_type) * n)
     indices = keys if key_type is np.int32 else np.empty(2 * m, dtype=np.int32)

@@ -2,10 +2,11 @@
 
 The labeled graphs this is used on live on the independent side of a
 split partition: many vertices, few edges, lots of isolated vertices.
-The adjacency therefore holds only the vertices with an edge, and after
-a greedy warm start each exposed vertex gets one augmenting-path search
-whose bookkeeping covers only the vertices that search reaches, so
-isolated vertices and saturated components cost nothing.
+The adjacency and the match state therefore hold only the vertices with
+an edge, matching_of_edges takes the labeled edges without a graph, and
+after a greedy warm start each exposed vertex gets one augmenting-path
+search whose bookkeeping covers only the vertices that search reaches,
+so isolated vertices and saturated components cost nothing.
 
 alpha_capped answers the only question the 3-split solver's V_3 probe
 asks, "is alpha 0, 1, or at least 2?", of a link-graph kernel (at most
@@ -16,6 +17,7 @@ edge list, without building a graph.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -32,7 +34,7 @@ class Matching:
         return len(self.edges)
 
 
-def _augment(adj: dict[int, list[int]], match: list[int], root: int) -> bool:
+def _augment(adj: dict[int, list[int]], match: dict[int, int], root: int) -> bool:
     """One blossom-contracting BFS for an augmenting path from root.
 
     match is flipped along the path on success. p is the BFS parent on
@@ -106,13 +108,19 @@ def maximum_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching of g, deterministic for a given
     graph (warm start and search roots run in ascending order)."""
     src, dst = g.edge_arrays()
+    return matching_of_edges(zip(src.tolist(), dst.tolist()))
+
+
+def matching_of_edges(edges: Iterable[tuple[int, int]]) -> Matching:
+    """maximum_matching of the graph whose edges are the given pairs
+    (u, v), u < v, ascending and without repeats, without building it."""
     adj: dict[int, list[int]] = {}
     # edges come in (u, v) order with u < v, so each list is ascending
-    for u, v in zip(src.tolist(), dst.tolist()):
+    for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     active = sorted(adj)
-    match = [-1] * g.n
+    match = dict.fromkeys(active, -1)
     for v in active:  # greedy warm start
         if match[v] == -1:
             for w in adj[v]:

@@ -37,8 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError, NotK14FreeError
-from .graph import Graph
-from .matching import alpha_capped, maximum_matching
+from .matching import alpha_capped, matching_of_edges
 from .oracle import brute_force_steiner
 from .split import SplitPartition, split_partition
 from .sstp import SteinerInstance
@@ -139,8 +138,7 @@ def _matched_labels(view: SplitPartition) -> tuple[set[int], int]:
     """Labels of a maximum matching in the labeled graph of view, one
     clique vertex per matched terminal pair, and the matching's size."""
     lg = build_labeled_graph(view)
-    p = maximum_matching(Graph.from_edges(
-        view.n, [(a, b) for a, b, _ in lg.labeled_edges]))
+    p = matching_of_edges((a, b) for a, b, _ in lg.labeled_edges)
     return set(corresponding_vertex_set(lg, p.edges)), p.size
 
 

@@ -28,14 +28,17 @@ the whole word. The chunk is then checked line by line; only one row of
 ids and a line number per edge and per terminal outlive it, as int32 when
 they fit: 12 bytes per edge. The graph is built from those rows with one
 sort of one int32 key per edge and orientation (int64 once
-n**2 >= 2**31), 8 bytes per edge that become the CSR indices. That sort
-also yields every repeated key; the line of the earliest repeat is then
-found by scanning the rows a chunk's piece at a time for those keys.
-Parsing an open file therefore holds O(CHUNK_BYTES) bytes of text and
-per-chunk temporaries plus about 22 bytes per edge at its peak (rows,
-keys and a mask comparing neighbouring keys), and never the file's bytes;
-a str or bytes source adds its own UTF-8 bytes.
-Nothing is sized by the header's counts.
+n**2 >= 2**31), 8 bytes per edge that become the CSR indices. When that
+sort meets a repeated key, the rows, each viewed as one 8- or 16-byte
+item, are sorted once more to find every repeated row, and scanned a
+chunk's piece at a time for the line of the earliest repeat. Parsing an
+open file therefore holds O(CHUNK_BYTES) bytes of text and per-chunk
+temporaries plus, at its peak, about 22 bytes per edge while n < 46,341
+(rows, int32 keys and a mask comparing neighbouring keys) and about 37
+from there on (int64 keys, then the int32 indices written beside them),
+and never the file's bytes; a str or bytes source adds its own UTF-8
+bytes. Nothing is sized by the header's counts. The .x3c reader (see
+x3c) tokenizes its chunks with the same code.
 
 Internally vertices are 0-based. Serialization is canonical: edges sorted
 lexicographically, terminals ascending, no comments. It is written a
@@ -46,7 +49,7 @@ higher vertices, so a writer holds one row's text, not the file's.
 from __future__ import annotations
 
 import io
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import BinaryIO, TextIO
 
@@ -217,14 +220,27 @@ class _FileDecodeError(UnicodeDecodeError):
                 f"{self.start}-{self.end - 1}: {self.reason}")
 
 
-def _check_utf8(chunk: bytes, offset: int) -> None:
-    """Raise what decoding the whole file raises for an invalid sequence
-    in the chunk that starts at byte offset; chunks end a line, so the
-    first fault and its position match the whole file's."""
-    try:
-        str(chunk, "utf-8")
-    except UnicodeDecodeError as exc:
-        raise _FileDecodeError(exc, offset) from None
+def _utf8_chunks(source: str | bytes | BinaryIO) -> Iterator[np.ndarray]:
+    """The chunks of text (its UTF-8 bytes, lone surrogates kept), of
+    UTF-8 bytes or of a file open in binary mode, cut by _chunks, as
+    uint8 arrays. Bytes are checked a chunk at a time: chunks end a line,
+    so the first invalid sequence raises, when its chunk is reached, what
+    decoding the whole source raises."""
+    strict = not isinstance(source, str)
+    if not strict:
+        source = source.encode("utf-8", "surrogatepass")
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    offset = 0
+    for chunk in _chunks(source):
+        try:
+            if strict:
+                str(chunk, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise _FileDecodeError(exc, offset) from None
+        offset += len(chunk)
+        yield np.frombuffer(chunk, np.uint8)
+        del chunk  # free it before the next is read
 
 
 class _Chunk:
@@ -336,23 +352,16 @@ def _header(ck: _Chunk, first: int, count: int, tag: int,
     return n, m, t
 
 
-def _edge_keys(n: int, pairs: list[np.ndarray]) -> Iterator[np.ndarray]:
-    """The key u * n + v of each row (u, v), one piece of rows at a time."""
-    return (p[:, 0].astype(np.int64) * n + p[:, 1] for p in pairs)
-
-
-def _repeated(keys: list[np.ndarray]) -> np.ndarray:
-    """Every key that occurs more than once in the pieces."""
+def _first_repeat(keys: list[np.ndarray],
+                  lines: list[np.ndarray]) -> tuple[np.ndarray, int] | None:
+    """(key as a one-item array, line number) of the earliest row whose
+    key an earlier row has, from the rows' keys and line numbers in
+    pieces, in row order. One sort of the joined keys finds every
+    repeated key; then only the rows with one are joined."""
     joined = np.concatenate(keys)
     joined.sort()
-    return joined[1:][joined[1:] == joined[:-1]]
-
-
-def _first_repeat(keys: Iterable[np.ndarray], lines: list[np.ndarray],
-                  repeated: np.ndarray) -> tuple[int, int] | None:
-    """(key, line number) of the earliest row whose key an earlier row
-    has, from the rows' keys and line numbers in pieces, in row order, and
-    every repeated key. Only the rows with a repeated key are joined."""
+    repeated = joined[1:][joined[1:] == joined[:-1]]
+    del joined
     if not repeated.size:
         return None
     found, found_lines = [], []
@@ -364,17 +373,20 @@ def _first_repeat(keys: Iterable[np.ndarray], lines: list[np.ndarray],
     later = np.ones(found.size, dtype=bool)
     later[np.unique(found, return_index=True)[1]] = False
     i = int(np.argmax(later))
-    return int(found[i]), int(np.concatenate(found_lines)[i])
+    return found[i:i + 1], int(np.concatenate(found_lines)[i])
 
 
-def _edge_repeat(n: int, pairs: list[np.ndarray], lines: list[np.ndarray],
-                 repeated: np.ndarray) -> SstpParseError | None:
-    """The error for the earliest edge row that repeats an earlier one,
-    given every repeated key u * n + v, if any."""
-    found = _first_repeat(_edge_keys(n, pairs), lines, repeated)
+def _edge_repeat(pairs: list[np.ndarray],
+                 lines: list[np.ndarray]) -> SstpParseError | None:
+    """The error for the earliest edge row that repeats an earlier one, if any."""
+    # each row (u, v) as one item, equal iff the rows are: its 8 bytes as
+    # an int64 for int32 ids, else its 16 bytes; no key like u * n + v is
+    # computed, so none can overflow
+    rows = [p.view(np.int64 if p.itemsize == 4 else "V16")[:, 0] for p in pairs]
+    found = _first_repeat(rows, lines)
     if found is None:
         return None
-    u, v = divmod(found[0], n)
+    u, v = found[0].view(pairs[0].dtype).tolist()
     return SstpParseError(_MESSAGES[DUPLICATE_EDGE].format(val1=u + 1, val2=v + 1), found[1])
 
 
@@ -440,25 +452,18 @@ def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
     keeps, per chunk, the rows of edge and terminal ids and their line
     numbers, int32 when they fit. When no line is malformed and the counts
     match the header, the graph is built straight from those rows, whose
-    one sort also finds every repeated edge; only then are the rows
-    scanned, piece by piece, for the line of the earliest repeat.
+    one sort also finds any repeated edge; only then are the rows sorted
+    once more and scanned, piece by piece, for the line of the earliest
+    repeat.
     """
-    strict = not isinstance(source, str)
-    if not strict:
-        source = source.encode("utf-8", "surrogatepass")
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
     header: tuple[int, int, int] | None = None
     fault: SstpParseError | None = None
     kept = ([], [], [], [])  # per chunk: edge ids, their lines, terminal ids, their lines
-    offset = lines_before = 0
-    for chunk in _chunks(source):
-        if strict:
-            _check_utf8(chunk, offset)
-        offset += len(chunk)
+    lines_before = 0
+    for data in _utf8_chunks(source):
         if fault is not None:
             continue  # later lines cannot fail first, but the bytes may
-        ck = _Chunk(np.frombuffer(chunk, np.uint8), lines_before)
+        ck = _Chunk(data, lines_before)
         lines_before = ck.lines_after
         lines = ck.statements()  # first token, token count, tag, line number
         if header is None and lines[0].size:
@@ -472,7 +477,7 @@ def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
             *rows, fault = _scan(ck, *lines, header[0])
             for pieces, row in zip(kept, rows):
                 pieces.append(row)
-        del chunk, ck, lines  # free this chunk before the next is read
+        del data, ck, lines  # free this chunk before the next is read
     if header is None:
         raise fault or SstpParseError("missing header")
 
@@ -480,9 +485,9 @@ def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
     pairs, pair_lines, terminals, terminal_lines = kept
     del kept
     terminals = [p[:, 0] for p in terminals]
-    repeat = _first_repeat(terminals, terminal_lines, _repeated(terminals))
+    repeat = _first_repeat(terminals, terminal_lines)
     repeated_terminal = None if repeat is None else SstpParseError(
-        _MESSAGES[DUPLICATE_TERMINAL].format(val1=repeat[0] + 1), repeat[1])
+        _MESSAGES[DUPLICATE_TERMINAL].format(val1=int(repeat[0][0]) + 1), repeat[1])
     x = np.concatenate(terminals)
     edges = sum(map(len, pairs))
     if fault is None and repeated_terminal is None and edges == m and len(x) == t:
@@ -491,15 +496,14 @@ def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
         try:
             graph = Graph(n, *_csr(n, pairs))
         except RepeatedEdgeError as exc:  # only the rows know the line
-            raise _edge_repeat(n, pairs, pair_lines, exc.keys) or exc
+            raise _edge_repeat(pairs, pair_lines) or exc
         del pairs, pair_lines
         try:
             return SteinerInstance(graph=graph, terminals=tuple(x.tolist()))
         except ValueError as exc:  # terminals were checked above: not connected
             raise SstpParseError(str(exc)) from exc
 
-    found = [fault, repeated_terminal,
-             _edge_repeat(n, pairs, pair_lines, _repeated(list(_edge_keys(n, pairs))))]
+    found = [fault, repeated_terminal, _edge_repeat(pairs, pair_lines)]
     found = [exc for exc in found if exc is not None]
     if found:
         raise min(found, key=lambda exc: exc.line)

@@ -12,21 +12,16 @@ j-1, the l-th triple (0-based) is vertex 3q + l.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import islice
+from typing import BinaryIO
 
 import numpy as np
 
 from .errors import X3CParseError
 from .graph import Graph
-from .sstp import SteinerInstance
+from .sstp import MAX_DIGITS, SteinerInstance, _Chunk, _utf8_chunks
 
-# the .sstp grammar: ASCII line breaks, ASCII blanks between tokens, and
-# every number 1 to 18 ASCII digits
-_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
-_BLANKS = " \t\x1f"
-_UINT = re.compile(r"[0-9]{1,18}")
 # uncovered ground elements named in reduce_x3c's error
 _LISTED = 10
 
@@ -63,63 +58,72 @@ class X3CInstance:
         return self.ground_size // 3
 
 
-def parse_x3c(text: str) -> X3CInstance:
-    """Parse the x3c format: `x3c <3q> <n>` then n lines `c <a> <b> <c>`,
-    1-indexed; blank lines and `#` comments are skipped. Lines, tokens
-    and numbers follow the .sstp grammar (see sstp)."""
-    header: tuple[int, int] | None = None
-    triples: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
-    ground = 0
-    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
-        line = raw.strip(_BLANKS)
-        if not line or line.startswith("#"):
-            continue
-        parts = re.split(f"[{_BLANKS}]+", line)
-        numeric = all(_UINT.fullmatch(p) for p in parts[1:])
-        if parts[0] == "x3c":
-            if header is not None:
-                raise X3CParseError("duplicate header", line=lineno)
-            if len(parts) != 3:
-                raise X3CParseError("header must be 'x3c <3q> <n>'", line=lineno)
-            if parts[2][:1] == "-" and _UINT.fullmatch(parts[2][1:]):
-                raise X3CParseError("negative triple count", line=lineno)
-            if not numeric:
-                raise X3CParseError("non-integer header field", line=lineno)
-            ground, count = int(parts[1]), int(parts[2])
-            if ground < 3 or ground % 3 != 0:
-                raise X3CParseError(
-                    f"ground size {ground} is not a positive multiple of 3",
-                    line=lineno)
-            header = (ground, count)
-        elif parts[0] == "c":
-            if header is None:
-                raise X3CParseError("triple line before header", line=lineno)
-            if len(parts) != 4:
-                raise X3CParseError("triple line must be 'c <a> <b> <c>'", line=lineno)
-            if not numeric:
-                raise X3CParseError("non-integer element", line=lineno)
-            elems = tuple(int(p) for p in parts[1:])
-            if len(set(elems)) != 3:
-                raise X3CParseError(f"triple {elems} has repeated elements",
-                                    line=lineno)
-            for e in elems:
-                if not 1 <= e <= ground:
+def parse_x3c(source: str | bytes | BinaryIO) -> X3CInstance:
+    """Parse the x3c format, as text, UTF-8 bytes or a file open in binary
+    mode: `x3c <3q> <n>` then n lines `c <a> <b> <c>`, 1-indexed; blank
+    lines and `#` comments are skipped. The .sstp reader (see sstp) reads
+    and tokenizes it a chunk at a time, so its grammar is that of .sstp,
+    and bytes that are not UTF-8 raise before any X3CParseError."""
+    count: int | None = None  # of triples, once the header is read
+    triples: set[tuple[int, ...]] = set()
+    ground = lines_before = 0
+    chunks = _utf8_chunks(source)
+    try:
+        for data in chunks:
+            ck = _Chunk(data, lines_before)
+            lines_before = ck.lines_after
+            for first, size, tag, lineno in zip(*(col.tolist() for col in ck.statements())):
+                if tag == ord("c"):
+                    if count is None:
+                        raise X3CParseError("triple line before header", line=lineno)
+                    if size != 4:
+                        raise X3CParseError("triple line must be 'c <a> <b> <c>'",
+                                            line=lineno)
+                    if not ck.is_int[first + 1:first + 4].all():
+                        raise X3CParseError("non-integer element", line=lineno)
+                    elems = tuple(ck.value[first + 1:first + 4].tolist())
+                    if len(set(elems)) != 3:
+                        raise X3CParseError(f"triple {elems} has repeated elements",
+                                            line=lineno)
+                    for e in elems:
+                        if not 1 <= e <= ground:
+                            raise X3CParseError(
+                                f"element {e} outside ground set 1..{ground}", line=lineno)
+                    key = tuple(sorted(elems))
+                    if key in triples:
+                        raise X3CParseError(f"duplicate triple {key}", line=lineno)
+                    triples.add(key)
+                elif ck.text(first) == "x3c":
+                    if count is not None:
+                        raise X3CParseError("duplicate header", line=lineno)
+                    if size != 3:
+                        raise X3CParseError("header must be 'x3c <3q> <n>'", line=lineno)
+                    if not ck.is_int[first + 1:first + 3].all():
+                        # '-' and then what would be a number
+                        digits = ck.text(first + 2)
+                        if (digits[:1] == "-" and len(digits) <= MAX_DIGITS + 1
+                                and digits[1:].isascii() and digits[1:].isdigit()):
+                            raise X3CParseError("negative triple count", line=lineno)
+                        raise X3CParseError("non-integer header field", line=lineno)
+                    ground, count = ck.value[first + 1:first + 3].tolist()
+                    if ground < 3 or ground % 3 != 0:
+                        raise X3CParseError(
+                            f"ground size {ground} is not a positive multiple of 3",
+                            line=lineno)
+                else:
                     raise X3CParseError(
-                        f"element {e} outside ground set 1..{ground}", line=lineno)
-            key = tuple(sorted(elems))
-            if key in seen:
-                raise X3CParseError(f"duplicate triple {key}", line=lineno)
-            seen.add(key)
-            triples.append(key)  # type: ignore[arg-type]
-        else:
-            raise X3CParseError(f"unrecognized line {line!r}", line=lineno)
-    if header is None:
+                        f"unrecognized line {ck.text(first, first + size - 1)!r}",
+                        line=lineno)
+            del data, ck  # free this chunk before the next is read
+    except X3CParseError:
+        for _ in chunks:  # a later byte that is not UTF-8 is reported first
+            pass
+        raise
+    if count is None:
         raise X3CParseError("missing 'x3c' header")
-    if len(triples) != header[1]:
-        raise X3CParseError(
-            f"header declares {header[1]} triples, found {len(triples)}")
-    return X3CInstance(ground_size=header[0], triples=tuple(triples))
+    if len(triples) != count:
+        raise X3CParseError(f"header declares {count} triples, found {len(triples)}")
+    return X3CInstance(ground_size=ground, triples=tuple(triples))  # type: ignore[arg-type]
 
 
 def serialize_x3c(x: X3CInstance) -> str:

@@ -13,6 +13,7 @@ from splitsteiner import (
     restrict_view,
     split_partition,
 )
+from splitsteiner.matching import matching_of_edges
 from helpers import brute_matching
 
 
@@ -177,6 +178,7 @@ def test_generator_labeled_graphs_match_networkx():
     sizes = set()
     for n, edges in _generator_labeled_graphs():
         m = maximum_matching(Graph.from_edges(n, edges))
+        assert matching_of_edges(edges) == m  # the solvers' call, without a Graph
         assert m.size == _networkx_size(n, edges)
         sizes.add(m.size)
     assert max(sizes) >= 4  # not only the capped 3-split matchings

@@ -101,6 +101,22 @@ def test_too_few_edges_rejected_at_header(monkeypatch):
         assert exc.value.line == line
 
 
+def test_duplicate_edges_past_two_to_the_32_vertices():
+    """Edge rows are compared as (u, v) pairs: at n = 2**33 the key
+    u * n + v wraps int64, and once made (1, 4000000000) and
+    (2147483649, 4000000000) look like one edge."""
+    head = "p sstp 8589934592 8589934591 0\n"
+    for body, line, message in [
+        ("e 1 4000000000\ne 2147483649 4000000000\n", None,
+         "header promises 8589934591 edges, found 2"),
+        ("e 2147483649 4000000000\ne 2147483649 4000000000\n", 3,
+         "line 3: duplicate edge (2147483649, 4000000000)"),
+    ]:
+        with pytest.raises(SstpParseError) as exc:
+            parse_instance(head + body)
+        assert (exc.value.line, str(exc.value)) == (line, message)
+
+
 def test_instance_validates_terminals():
     g = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import io
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -16,6 +18,7 @@ from splitsteiner import (
     solve,
     solve_x3c_bruteforce,
     split_partition,
+    sstp,
 )
 
 SOLVABLE = X3CInstance(6, ((1, 2, 3), (2, 4, 5), (4, 5, 6)))
@@ -56,7 +59,7 @@ def test_serialize_roundtrip():
     assert serialize_x3c(SOLVABLE) == TEXT
 
 
-@pytest.mark.parametrize("text, match, line", [
+PARSE_ERRORS = [
     ("x3c 6 1\nx3c 6 1\n", "duplicate header", 2),
     ("x3c 6\n", "header must be", 1),
     ("x3c six 3\n", "non-integer header", 1),
@@ -74,7 +77,10 @@ def test_serialize_roundtrip():
     ("x3c +3 1\n", "non-integer header", 1),
     ("x3c 6 1\nc \u0661 2 3\n", "non-integer element", 2),
     ("x3c 6 1\nc 1 2\u00a03\n", "triple line must be", 2),
-])
+]
+
+
+@pytest.mark.parametrize("text, match, line", PARSE_ERRORS)
 def test_parse_errors(text, match, line):
     with pytest.raises(X3CParseError, match=match) as exc:
         parse_x3c(text)
@@ -86,6 +92,76 @@ def test_parse_missing_header_and_count():
         parse_x3c("# nothing\n")
     with pytest.raises(X3CParseError, match="declares 2 triples, found 1"):
         parse_x3c("x3c 6 2\nc 1 2 3\n")
+
+
+def _outcome(parse, source):
+    try:
+        return "instance", parse(source)
+    except X3CParseError as exc:
+        return "error", exc.line, str(exc)
+
+
+# a comment longer than the largest chunk below, so every case spans chunks
+PAD = "# " + "pad " * 20 + "\n"
+CHUNK_CASES = [text for text, _, _ in PARSE_ERRORS] + [
+    TEXT, "# intro\n\n  x3c 3 1\nc 3 1 2\n", "# nothing\n", "x3c 6 2\nc 1 2 3\n",
+    TEXT.replace("\n", "\r\n" + PAD), PAD + "x3c 6 1\r" + PAD + "c 1 2 3\x0b" + PAD + "c 1 2",
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("text", CHUNK_CASES,
+                         ids=[f"case{i}" for i in range(len(CHUNK_CASES))])
+def test_parse_in_chunks_matches_default_chunks(monkeypatch, text, chunk):
+    """Wherever the chunks are cut, str, UTF-8 bytes and an open binary
+    file parse to what the default chunk size gives: the instance, or the
+    same line and message."""
+    expected = _outcome(parse_x3c, text)
+    monkeypatch.setattr(sstp, "CHUNK_BYTES", chunk)
+    data = text.encode("utf-8")
+    assert _outcome(parse_x3c, text) == expected
+    assert _outcome(parse_x3c, data) == expected
+    assert _outcome(parse_x3c, io.BytesIO(data)) == expected
+
+
+@pytest.mark.parametrize("chunk", [7, sstp.CHUNK_BYTES])
+def test_invalid_utf8_after_a_bad_line_wins(monkeypatch, chunk):
+    """A byte that is not UTF-8 after a bad line is reported as decoding
+    the whole file reports it, from bytes and from an open file."""
+    monkeypatch.setattr(sstp, "CHUNK_BYTES", chunk)
+    data = b"x3c 6 1\nq 1 2 3\n" + PAD.encode() * 3 + b"# caf\xc3\n"
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    for source in (data, io.BytesIO(data)):
+        with pytest.raises(UnicodeDecodeError) as exc:
+            parse_x3c(source)
+        assert str(exc.value) == str(whole.value)
+        assert (exc.value.start, exc.value.end) == (whole.value.start, whole.value.end)
+
+
+def test_parse_memory_is_bounded_by_the_chunk(tmp_path):
+    """The tracemalloc peak of parse_x3c on open files of one triple and
+    then about 5 MB and 20 MB of '#' lines stays under 48 times
+    CHUNK_BYTES and does not grow with the file.
+
+    Measured (Python 3.11, numpy 2.4): about 10 MB, 39 times CHUNK_BYTES,
+    for both: the per-token temporaries of one chunk in which every
+    other byte starts a token. Reading the whole text and a list of its
+    lines, as the parse once did, peaked above 100 MB on the larger file.
+    """
+    peaks = []
+    for lines in (2_500_000, 10_000_000):
+        path = tmp_path / f"{lines}.x3c"
+        path.write_text("x3c 3 1\nc 1 2 3\n" + "#\n" * lines, encoding="utf-8")
+        with open(path, "rb") as fh:
+            tracemalloc.start()
+            try:
+                assert parse_x3c(fh).triples == ((1, 2, 3),)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert max(peaks) <= 48 * sstp.CHUNK_BYTES
+    assert peaks[1] <= peaks[0] + sstp.CHUNK_BYTES
 
 
 def test_reduction_shape():
