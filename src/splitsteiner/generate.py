@@ -249,40 +249,16 @@ def _cross_level3_k14(rng: np.random.Generator, a: int, b: int,
 
 
 def _assemble(a: int, b: int, cross: list[list[int]]) -> SteinerInstance:
-    """CSR assembly of clique 0..a-1, independent a..a+b-1, cross edges
-    per clique vertex (independent side given as local 0..b-1 indices).
-    The dense clique block is written in row chunks to bound peak memory.
+    """Split-layout graph of clique 0..a-1 and independent a..a+b-1, from
+    the cross edges per clique vertex (independent side given as local
+    0..b-1 indices). The clique's pairs are implied, never stored.
     """
     n = a + b
-    cross_i: list[list[int]] = [[] for _ in range(b)]
-    for v in range(a):
-        cross[v].sort()
-        for j in cross[v]:
-            cross_i[j].append(v)
-    deg = np.empty(n, dtype=np.int64)
-    deg[:a] = (a - 1) + np.array([len(c) for c in cross], dtype=np.int64)
-    deg[a:] = np.array([len(c) for c in cross_i], dtype=np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-
-    if a > 1:
-        # two contiguous copies per clique row ([0..v-1] then [v+1..a-1])
-        # keep this a plain memcpy instead of a 2m-element scatter
-        idx = np.arange(a, dtype=np.int32)
-        for v in range(a):
-            start = int(indptr[v])
-            indices[start:start + v] = idx[:v]
-            indices[start + v:start + a - 1] = idx[v + 1:]
-    for v in range(a):
-        if cross[v]:
-            start = int(indptr[v]) + (a - 1)
-            indices[start:int(indptr[v + 1])] = np.array(
-                [a + j for j in cross[v]], dtype=np.int32)
-    for j in range(b):
-        row = int(indptr[a + j])
-        indices[row:row + len(cross_i[j])] = np.array(cross_i[j], dtype=np.int32)
-    g = Graph.from_csr(n, indptr, indices)
+    pairs = np.array([(v, a + j) for v in range(a) for j in cross[v]],
+                     dtype=np.int64).reshape(-1, 2)
+    clique = np.zeros(n, dtype=bool)
+    clique[:a] = True
+    g = Graph.from_cross_edges(clique, [pairs])
     return SteinerInstance(graph=g, terminals=tuple(range(a, n)))
 
 

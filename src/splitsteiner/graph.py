@@ -1,10 +1,19 @@
 """Undirected simple graphs over vertices 0..n-1.
 
-Adjacency is kept in CSR form (two numpy arrays) so that dense cliques of
-tens of thousands of vertices stay affordable: a split graph on 50,000
-vertices carries ~1.4e8 clique edges, which rules out per-edge Python
-objects. All neighbor lists are sorted ascending, which the BFS helpers
-rely on for deterministic output.
+Adjacency is kept in CSR form (two numpy arrays), in one of two layouts:
+
+  generic  the CSR of every edge;
+  split    a clique mask and the CSR of the edges between the clique
+           and the rest only. The clique is complete and the rest is
+           independent, so the clique's own pairs are implied.
+
+A split graph on 50,000 vertices carries ~1.4e8 clique edges, which the
+split layout never stores: its arrays are sized by n and by the cross
+edges. Both layouts answer the same queries with the same results.
+from_edges builds the generic layout and from_cross_edges the split
+one, which the parse of split input, gen_split and reduce_x3c use. All
+neighbor lists are sorted ascending, which the BFS helpers rely on for
+deterministic output.
 """
 
 from __future__ import annotations
@@ -19,14 +28,25 @@ import numpy as np
 class Graph:
     """Immutable undirected simple graph."""
 
-    __slots__ = ("n", "_indptr", "_indices")
+    __slots__ = ("n", "_indptr", "_indices", "_clique", "_clique_ids", "_degrees")
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
+    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
+                 clique: np.ndarray | None = None):
         # Trusted constructor: callers must supply symmetric, sorted,
-        # loop-free CSR data. Use from_edges for validated construction.
+        # loop-free CSR data; with clique, a bool mask of n vertices, the
+        # CSR holds only the edges between the clique and the rest. Use
+        # from_edges for validated construction.
         self.n = n
         self._indptr = indptr
         self._indices = indices
+        self._clique = clique
+        self._degrees = np.diff(indptr)
+        if clique is None:
+            self._clique_ids = None
+        else:
+            self._clique_ids = np.flatnonzero(clique).astype(indices.dtype)
+            self._degrees[clique] += len(self._clique_ids) - 1
+        self._degrees.flags.writeable = False
 
     @classmethod
     def from_edges(cls, n: int,
@@ -55,46 +75,61 @@ class Graph:
         return cls(n, *_csr(n, [pairs]))
 
     @classmethod
-    def from_csr(cls, n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
-        """Wrap prebuilt CSR arrays (sorted, symmetric, loop-free).
-
-        Meant for the instance generators, which assemble large cliques
-        vectorized; no validation beyond shape checks is performed.
-        """
-        if len(indptr) != n + 1:
-            raise ValueError("indptr length must be n+1")
-        return cls(n, np.asarray(indptr, dtype=np.int64),
-                   np.asarray(indices, dtype=np.int32))
+    def from_cross_edges(cls, clique: np.ndarray,
+                         pieces: Sequence[np.ndarray]) -> "Graph":
+        """The split-layout graph on len(clique) vertices whose clique, a
+        bool mask, is complete, whose other vertices are independent, and
+        whose edges between the two are the rows of pieces, (k, 2) arrays
+        of ids with one end in the clique each. Raises RepeatedEdgeError
+        when a row repeats; nothing else is checked."""
+        n = len(clique)
+        return cls(n, *_csr(n, pieces), clique=clique)
 
     @property
     def m(self) -> int:
-        return len(self._indices) // 2
+        k = 0 if self._clique_ids is None else len(self._clique_ids)
+        return len(self._indices) // 2 + k * (k - 1) // 2
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self._indptr)
+        """Degree of each vertex, read-only."""
+        return self._degrees
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of v as a numpy view."""
-        return self._indices[self._indptr[v]:self._indptr[v + 1]]
+        """Sorted neighbor ids of v; a view of the CSR unless v is in a
+        split layout's clique, whose row is the rest of the clique merged
+        with its cross edges."""
+        row = self._indices[self._indptr[v]:self._indptr[v + 1]]
+        if self._clique is None or not self._clique[v]:
+            return row
+        ids = self._clique_ids
+        row = np.concatenate((ids[ids != v], row))
+        row.sort(kind="stable")  # two sorted runs: merged, not sorted afresh
+        return row
 
     def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = int(np.searchsorted(nb, v))
-        return i < len(nb) and int(nb[i]) == v
+        if self._clique is not None and self._clique[u] and self._clique[v]:
+            return u != v
+        row = self._indices[self._indptr[u]:self._indptr[u + 1]]
+        i = int(np.searchsorted(row, v))
+        return i < len(row) and int(row[i]) == v
 
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """has_edge(u[i], v[i]) for each i, ids in range, by one bisection
-        of the rows of all the u[i] at once."""
+        of the CSR rows of all the u[i] at once (and the clique mask)."""
         lo, end = self._indptr[u], self._indptr[u + 1]
         if not self._indices.size:
-            return np.zeros(len(lo), dtype=bool)
-        hi = end.copy()
-        while (open_ := lo < hi).any():
-            mid = (lo + hi) >> 1
-            below = self._indices.take(mid, mode="clip") < v
-            lo = np.where(open_ & below, mid + 1, lo)
-            hi = np.where(open_ & ~below, mid, hi)
-        return (lo < end) & (self._indices.take(lo, mode="clip") == v)
+            found = np.zeros(len(lo), dtype=bool)
+        else:
+            hi = end.copy()
+            while (open_ := lo < hi).any():
+                mid = (lo + hi) >> 1
+                below = self._indices.take(mid, mode="clip") < v
+                lo = np.where(open_ & below, mid + 1, lo)
+                hi = np.where(open_ & ~below, mid, hi)
+            found = (lo < end) & (self._indices.take(lo, mode="clip") == v)
+        if self._clique is not None:
+            found |= self._clique[u] & self._clique[v] & (u != v)
+        return found
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, lexicographically."""
@@ -108,15 +143,23 @@ class Graph:
         """Each edge once as arrays (u, v) with u < v, in edges() order."""
         src = np.repeat(np.arange(self.n, dtype=self._indices.dtype),
                         np.diff(self._indptr))
-        upper = src < self._indices
-        return src[upper], self._indices[upper]
+        dst = self._indices
+        if self._clique_ids is not None:
+            ids = self._clique_ids
+            iu, ju = np.triu_indices(len(ids), 1)
+            src = np.concatenate((src, ids[iu]))
+            dst = np.concatenate((dst, ids[ju]))
+            order = np.lexsort((dst, src))
+            src, dst = src[order], dst[order]
+        upper = src < dst
+        return src[upper], dst[upper]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.n == other.n
-                and np.array_equal(self._indptr, other._indptr)
-                and np.array_equal(self._indices, other._indices))
+        # equal edge sets, whatever the layouts
+        return (self.n == other.n and self.m == other.m
+                and all(map(np.array_equal, self.edge_arrays(), other.edge_arrays())))
 
     def __hash__(self):  # pragma: no cover - graphs are not hashed
         return hash((self.n, self.m))
@@ -155,7 +198,7 @@ def _csr(n: int, pieces: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     same = np.flatnonzero(keys[1:] == keys[:-1])
     if same.size:
         u, v = divmod(int(keys[same[0]]), n)
-        del keys  # the traceback keeps this frame alive
+        del keys, out  # the traceback keeps this frame alive
         raise RepeatedEdgeError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
     # needles of the keys' dtype, or numpy casts every key to int64
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=key_type) * n)
@@ -217,8 +260,14 @@ def _bfs(g: Graph, subset: Iterable[int]) -> tuple[list[tuple[int, int]], int, i
 
 def is_connected(g: Graph, subset: Iterable[int] | None = None) -> bool:
     """True iff the induced subgraph on `subset` (default: all vertices)
-    is connected. The empty set and singletons count as connected."""
+    is connected. The empty set and singletons count as connected.
+
+    A whole split-layout graph is read from its degrees: its clique is
+    complete and every other vertex with an edge sees the clique, so it
+    is connected iff n <= 1 or no vertex has degree 0."""
     if subset is None:
+        if g._clique is not None:
+            return g.n <= 1 or bool(g.degrees().min() > 0)
         subset = range(g.n)
     _, visited, size = _bfs(g, subset)
     return visited == size

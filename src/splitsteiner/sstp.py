@@ -24,21 +24,38 @@ chunks. A chunk is tokenized with array operations (see _Chunk): bytes
 are classed by range comparisons, token bounds come from one flatnonzero,
 and each number is read from one unaligned little-endian 8-byte word per
 8 digits, whose digits are tested and joined by integer arithmetic on
-the whole word. The chunk is then checked line by line; only one row of
-ids and a line number per edge and per terminal outlive it, as int32 when
-they fit: 12 bytes per edge. The graph is built from those rows with one
-sort of one int32 key per edge and orientation (int64 once
-n**2 >= 2**31), 8 bytes per edge that become the CSR indices. When that
-sort meets a repeated key, the rows, each viewed as one 8- or 16-byte
-item, are sorted once more to find every repeated row, and scanned a
-chunk's piece at a time for the line of the earliest repeat. Parsing an
-open file therefore holds O(CHUNK_BYTES) bytes of text and per-chunk
-temporaries plus, at its peak, about 22 bytes per edge while n < 46,341
-(rows, int32 keys and a mask comparing neighbouring keys) and about 37
-from there on (int64 keys, then the int32 indices written beside them),
-and never the file's bytes; a str or bytes source adds its own UTF-8
-bytes. Nothing is sized by the header's counts. The .x3c reader (see
-x3c) tokenizes its chunks with the same code.
+the whole word. The chunk is then checked line by line; only a row of
+ids per edge, in the narrowest dtype that holds n - 1 (uint16 while
+n <= 65,536: 4 bytes per edge), and an id and a line number per
+terminal outlive it. No line number is kept per edge.
+
+The graph is then built from the rows (see _graph). Their degrees are
+counted first. When the Hammer-Simeone test (see split) passes, the rows
+are classed a chunk's piece at a time: clique pairs each set a bit of a
+bit-packed k x k matrix, and the cross rows, between the clique and the
+rest, are kept. Once no bit is set twice and no cross row repeats, the
+graph is simple: the degree identity, which holds for a multigraph too,
+leaves no row between two vertices outside the clique and makes the
+clique complete. It is stored in the split layout (see graph), from its
+cross rows alone. Any other graph
+gets its full CSR from one sort of one int32 key per edge and
+orientation (int64 once n**2 >= 2**31), which also finds a repeated
+edge. When a repeat is found, the rows, each viewed as one item of 4, 8
+or 16 bytes, are sorted once more to find the earliest repeated row,
+and the source is read again, up to that row, for its line number.
+
+Parsing an open file therefore holds O(CHUNK_BYTES) bytes of text and
+per-chunk temporaries plus the rows, about 4 bytes per edge while
+n <= 65,536, and never the file's bytes. A split graph adds k**2 / 8
+bytes of bits, where k(k - 1) <= 2m, and its cross rows: on 0.5M edges
+the parse peaks at about 11 bytes per edge under tracemalloc, most of it
+the last chunk's tokenizing. Any other graph adds the sort keys and a
+mask over them: about 14 bytes per edge in all while n < 46,341 and
+about 30 from there on (int64 keys, then the int32 indices written
+beside them). A str or bytes source adds its own UTF-8
+bytes, and a file that cannot seek is read whole first. Nothing is
+sized by the header's counts. The .x3c reader (see x3c) tokenizes its
+chunks with the same code.
 
 Internally vertices are 0-based. Serialization is canonical: edges sorted
 lexicographically, terminals ascending, no comments. It is written a
@@ -49,14 +66,15 @@ higher vertices, so a writer holds one row's text, not the file's.
 from __future__ import annotations
 
 import io
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import BinaryIO, TextIO
 
 import numpy as np
 
-from .errors import SstpParseError
+from .errors import InvariantError, SstpParseError
 from .graph import Graph, RepeatedEdgeError, _csr, is_connected
+from .split import _degree_test
 
 MAX_DIGITS = 18  # 10**18 - 1 < 2**63
 # bytes per chunk of the parse, chosen by measurement (BENCH_sstp_chunked.json)
@@ -251,18 +269,21 @@ class _Chunk:
     10-13 and 28-30, and a \\n right after \\r ends no line of its own.
     Only the bytes below 32 are listed and classed one by one; a byte above
     31 is whitespace iff it is a space. Token bounds come from flatnonzero
-    over one bool per byte that marks whitespace. start and end (int64,
-    as flatnonzero gives them), is_int and value (int64, the token's
-    number where is_int) hold one entry per token; _decode reads value
-    from one word per 8 digits. statements() finds each line's first
-    token and token count from the break positions alone. Temporaries
-    are two bools per chunk byte, then a few words per token; a chunk of
-    8 bytes or more is never copied.
+    over one bool per byte that marks whitespace. start and end, is_int
+    and value (int64, the token's number where is_int) hold one entry per
+    token; _decode reads value from one word per 8 digits. statements()
+    finds each line's first token and token count from the break
+    positions alone. Offsets within the chunk (start, end, breaks, token
+    lengths and line cuts) are int32 unless the chunk is 2 GiB long.
+    Temporaries are two bools per chunk byte, then a few words per token;
+    a chunk of 8 bytes or more is never copied.
     """
 
     def __init__(self, data: np.ndarray, line0: int):
         self.data = data
         self.line0 = line0
+        # offsets within the chunk: int32 unless one line is 2 GiB long
+        offset = _index_dtype(data.size)
         low = np.flatnonzero(data < 32)
         byte = data.take(low)
         breaks = low[(byte - 10 < 4) | (byte - 28 < 3)]
@@ -272,7 +293,7 @@ class _Chunk:
         crlf[crlf] = data.take(breaks[crlf] - 1, mode="clip") == ord("\r")
         # a copy: holding the masked result itself raised the peak RSS of
         # a CLI run on small files by about 0.3 MB (allocation layout)
-        self.breaks = breaks[~crlf].astype(np.int64)
+        self.breaks = breaks[~crlf].astype(offset)
         self.lines_after = line0 + self.breaks.size
         space = np.empty(data.size + 2, dtype=bool)
         space[0] = space[-1] = True
@@ -281,8 +302,8 @@ class _Chunk:
         del low, byte, breaks, crlf
         bounds = np.flatnonzero(space[1:] != space[:-1])
         del space
-        self.start = bounds[0::2].astype(np.int64)
-        self.end = bounds[1::2].astype(np.int64)
+        self.start = bounds[0::2].astype(offset)
+        self.end = bounds[1::2].astype(offset)
         del bounds
         length = self.end - self.start
         words = _words(data)
@@ -308,10 +329,13 @@ class _Chunk:
         """(first token, token count, tag, line number) of each line that
         is not blank or a comment; the tag is the byte of a one-byte first
         token, else 0. A line's tokens are those between two breaks."""
-        cut = np.searchsorted(self.start, self.breaks)
-        count = np.diff(cut, prepend=0, append=self.start.size)
+        # cut[i] tokens lie before line i: 0, then one count per break
+        cut = np.zeros(self.breaks.size + 2, dtype=self.start.dtype)
+        cut[1:-1] = np.searchsorted(self.start, self.breaks)
+        cut[-1] = self.start.size
+        count = np.diff(cut)
         line = np.flatnonzero(count)
-        first = np.concatenate(([0], cut)).take(line)
+        first = cut.take(line)
         count = count.take(line)
         lead = self.data.take(self.start.take(first))
         keep = lead != ord("#")
@@ -352,42 +376,55 @@ def _header(ck: _Chunk, first: int, count: int, tag: int,
     return n, m, t
 
 
-def _first_repeat(keys: list[np.ndarray],
-                  lines: list[np.ndarray]) -> tuple[np.ndarray, int] | None:
-    """(key as a one-item array, line number) of the earliest row whose
-    key an earlier row has, from the rows' keys and line numbers in
-    pieces, in row order. One sort of the joined keys finds every
-    repeated key; then only the rows with one are joined."""
+def _first_repeat(keys: list[np.ndarray]) -> tuple[np.ndarray, int] | None:
+    """(key as a one-item array, index) of the earliest item whose key an
+    earlier item has, from keys in pieces, items counted across the
+    pieces in order. One sort of the joined keys finds every repeated
+    key; then only the items with one are gathered."""
     joined = np.concatenate(keys)
     joined.sort()
     repeated = joined[1:][joined[1:] == joined[:-1]]
     del joined
     if not repeated.size:
         return None
-    found, found_lines = [], []
-    for key, line in zip(keys, lines):
-        hit = np.isin(key, repeated)
+    found, at, before = [], [], 0
+    for key in keys:
+        hit = np.flatnonzero(np.isin(key, repeated))
         found.append(key[hit])
-        found_lines.append(line[hit])
+        at.append(hit + before)
+        before += len(key)
     found = np.concatenate(found)
     later = np.ones(found.size, dtype=bool)
     later[np.unique(found, return_index=True)[1]] = False
     i = int(np.argmax(later))
-    return found[i:i + 1], int(np.concatenate(found_lines)[i])
+    return found[i:i + 1], int(np.concatenate(at)[i])
 
 
 def _edge_repeat(pairs: list[np.ndarray],
-                 lines: list[np.ndarray]) -> SstpParseError | None:
-    """The error for the earliest edge row that repeats an earlier one, if any."""
-    # each row (u, v) as one item, equal iff the rows are: its 8 bytes as
-    # an int64 for int32 ids, else its 16 bytes; no key like u * n + v is
-    # computed, so none can overflow
-    rows = [p.view(np.int64 if p.itemsize == 4 else "V16")[:, 0] for p in pairs]
-    found = _first_repeat(rows, lines)
+                 reread: Callable[[], Iterator[np.ndarray]]) -> SstpParseError | None:
+    """The error for the earliest edge row that repeats an earlier one, if
+    any; its line is found by reading the source again (reread gives its
+    chunks afresh) and counting the well-formed edge lines."""
+    # each row (u, v) as one item, equal iff the rows are: its bytes as
+    # one unsigned integer for ids of 2 or 4 bytes, else as 16 bytes; no
+    # key like u * n + v is computed, so none can overflow
+    view = {2: np.uint32, 4: np.uint64}.get(pairs[0].itemsize, "V16")
+    found = _first_repeat([p.view(view)[:, 0] for p in pairs])
     if found is None:
         return None
     u, v = found[0].view(pairs[0].dtype).tolist()
-    return SstpParseError(_MESSAGES[DUPLICATE_EDGE].format(val1=u + 1, val2=v + 1), found[1])
+    row = found[1]
+    for _, (pair, pair_line, *_) in _scanned(reread()):
+        if row < len(pair):
+            break
+        row -= len(pair)
+    return SstpParseError(_MESSAGES[DUPLICATE_EDGE].format(val1=u + 1, val2=v + 1),
+                          int(pair_line[row]))
+
+
+def _id_dtype(n: int) -> type:
+    """The narrowest dtype that holds the ids 0..n-1."""
+    return np.uint16 if n <= 2**16 else np.uint32 if n <= 2**32 else np.int64
 
 
 def _scan(ck: _Chunk, first: np.ndarray, count: np.ndarray, tag: np.ndarray,
@@ -395,9 +432,10 @@ def _scan(ck: _Chunk, first: np.ndarray, count: np.ndarray, tag: np.ndarray,
     """Check the lines after the header in one chunk, in the order of the
     line-by-line checks but without the duplicate test. Returns the
     0-based ids and the line numbers of the well-formed edge lines and
-    terminal lines, then the error of the first bad line or None."""
+    terminal lines, then the error of the first bad line or None. Ids
+    are of the narrowest dtype that holds n - 1."""
     fault = np.where(tag == ord("p"), DUPLICATE_HEADER, UNRECOGNIZED).astype(np.int8)
-    id_type = _index_dtype(n)
+    id_type = _id_dtype(n)
     line_type = _index_dtype(ck.lines_after + 1)
 
     def values(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -416,7 +454,8 @@ def _scan(ck: _Chunk, first: np.ndarray, count: np.ndarray, tag: np.ndarray,
              (u < 1) | (u > n) | (v < 1) | (v > n), u > v],
             [BAD_EDGE, U_NOT_INT, V_NOT_INT, SELF_LOOP, EDGE_RANGE, EDGE_ORDER], 0)
         u, v, e = u[ok], v[ok], e[ok]
-    pair = np.stack((u, v), axis=1, dtype=id_type)
+    pair = np.empty((e.size, 2), dtype=id_type)
+    pair[:, 0], pair[:, 1] = u, v
     pair -= 1
     rows = [pair, line.take(e).astype(line_type)]
 
@@ -425,7 +464,7 @@ def _scan(ck: _Chunk, first: np.ndarray, count: np.ndarray, tag: np.ndarray,
     fault[r] = np.select([count[r] != 2, ~x_int, (x < 1) | (x > n)],
                          [BAD_TERMINAL, T_NOT_INT, TERMINAL_RANGE], 0)
     ok = fault[r] == 0
-    rows += [(x[ok] - 1)[:, None].astype(id_type), line[r[ok]].astype(line_type)]
+    rows += [(x[ok] - 1).astype(id_type), line[r[ok]].astype(line_type)]
 
     bad = np.flatnonzero(fault)
     if not bad.size:
@@ -433,6 +472,84 @@ def _scan(ck: _Chunk, first: np.ndarray, count: np.ndarray, tag: np.ndarray,
     i = bad[0]
     return *rows, _fault(ck, int(first[i]), int(count[i]), int(line[i]),
                          _MESSAGES[int(fault[i])])
+
+
+def _scanned(chunks: Iterator[np.ndarray]) -> Iterator[tuple]:
+    """(header, _scan's result) for each chunk from the one that holds the
+    header on. A bad header raises its SstpParseError."""
+    header = None
+    lines_before = 0
+    for data in chunks:
+        ck = _Chunk(data, lines_before)
+        lines_before = ck.lines_after
+        lines = ck.statements()  # first token, token count, tag, line number
+        if header is None and lines[0].size:
+            header = _header(ck, *(int(col[0]) for col in lines))
+            lines = tuple(col[1:] for col in lines)
+        if header is not None:
+            yield header, _scan(ck, *lines, header[0])
+        del data, ck, lines  # free this chunk before the next is read
+
+
+def _cross_rows(clique: np.ndarray, pairs: list[np.ndarray]) -> list[np.ndarray]:
+    """The rows of pairs that leave the clique, once the rows inside it
+    are shown to be distinct, and so to be all of its k(k-1)/2 pairs;
+    the degrees must pass the Hammer-Simeone test with this clique.
+
+    Each row inside the clique sets one bit of a bit-packed k x k
+    matrix, indexed by the endpoints' ranks in the clique; a bit set
+    twice is a repeated edge and raises RepeatedEdgeError. A row with
+    both ends outside needs no check of its own: the degree identity
+    gives e(C) - e(I) = k(k-1)/2 for a multigraph too, so such a row
+    makes some clique pair repeat. With no bit set twice, e(C) is then
+    k(k-1)/2 and e(I) is 0.
+    """
+    k = int(np.count_nonzero(clique))
+    # each vertex's rank in the clique, -1 outside it
+    rank = np.cumsum(clique, dtype=_index_dtype(k * k)) - 1
+    rank[~clique] = -1
+    marks = np.zeros((k * k + 7) // 8, dtype=np.uint8)
+    cross, inside = [], 0
+    for p in pairs:
+        ru, rv = rank.take(p[:, 0]), rank.take(p[:, 1])
+        both = (ru | rv) >= 0
+        ru *= k
+        ru += rv
+        bit = ru[both]
+        if bit.size:
+            bit.sort()
+            byte, mask = bit >> 3, np.left_shift(1, bit & 7).astype(np.uint8)
+            if (bit[1:] == bit[:-1]).any() or (marks[byte] & mask).any():
+                raise RepeatedEdgeError("a clique edge repeats")
+            # the bits of each byte joined first: the bytes then repeat none
+            first = np.flatnonzero(np.diff(byte, prepend=-1))
+            marks[byte.take(first)] |= np.bitwise_or.reduceat(mask, first)
+        inside += bit.size
+        cross.append(p[~both])
+    if inside != k * (k - 1) // 2:
+        raise InvariantError("degree test passed but the clique is not complete")
+    return cross
+
+
+def _graph(n: int, pairs: list[np.ndarray]) -> Graph:
+    """The graph whose edges are the rows of pairs; raises
+    RepeatedEdgeError when a row repeats.
+
+    Its degrees are counted first. When they pass the Hammer-Simeone test
+    (see split), the k vertices it names are a clique and the rest an
+    independent set, provided the graph is simple; _cross_rows proves
+    that, and the graph is built in the split layout from its cross rows
+    alone. Otherwise its full CSR is built from all the rows.
+    """
+    degrees = np.zeros(n, dtype=np.int64)
+    for p in pairs:
+        degrees += np.bincount(p.ravel(), minlength=n)
+    order, k, split = _degree_test(degrees)
+    if not split:
+        return Graph(n, *_csr(n, pairs))
+    clique = np.zeros(n, dtype=bool)
+    clique[order[:k]] = True
+    return Graph.from_cross_edges(clique, _cross_rows(clique, pairs))
 
 
 def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
@@ -449,61 +566,65 @@ def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
     whole file first would, before any SstpParseError.
 
     One pass reads the source in chunks (see the module docstring) and
-    keeps, per chunk, the rows of edge and terminal ids and their line
-    numbers, int32 when they fit. When no line is malformed and the counts
-    match the header, the graph is built straight from those rows, whose
-    one sort also finds any repeated edge; only then are the rows sorted
-    once more and scanned, piece by piece, for the line of the earliest
-    repeat.
+    keeps, per chunk, the rows of edge ids, in the narrowest dtype that
+    holds n - 1, and the terminal ids with their line numbers. When no
+    line is malformed and the counts match the header, the graph is
+    built from those rows (see _graph), which also finds any repeated
+    edge. Edge rows carry no line numbers: only on that error path is
+    the source read a second time, up to the earliest repeated row, to
+    find its line. A file that cannot seek is therefore read whole first.
     """
+    start = None  # where a file's SSTP text begins
+    if not isinstance(source, (str, bytes)):
+        if source.seekable():
+            start = source.tell()
+        else:
+            source = source.read()
+
+    def reread() -> Iterator[np.ndarray]:
+        if start is not None:
+            source.seek(start)
+        return _utf8_chunks(source)
+
     header: tuple[int, int, int] | None = None
     fault: SstpParseError | None = None
-    kept = ([], [], [], [])  # per chunk: edge ids, their lines, terminal ids, their lines
-    lines_before = 0
-    for data in _utf8_chunks(source):
-        if fault is not None:
-            continue  # later lines cannot fail first, but the bytes may
-        ck = _Chunk(data, lines_before)
-        lines_before = ck.lines_after
-        lines = ck.statements()  # first token, token count, tag, line number
-        if header is None and lines[0].size:
-            try:
-                header = _header(ck, *(int(col[0]) for col in lines))
-            except SstpParseError as exc:
-                fault = exc
-                continue
-            lines = tuple(col[1:] for col in lines)
-        if header is not None:
-            *rows, fault = _scan(ck, *lines, header[0])
-            for pieces, row in zip(kept, rows):
-                pieces.append(row)
-        del data, ck, lines  # free this chunk before the next is read
+    pairs, terminals, terminal_lines = [], [], []
+    chunks = _utf8_chunks(source)
+    try:
+        for header, (pair, _, x, x_line, fault) in _scanned(chunks):
+            pairs.append(pair)
+            terminals.append(x)
+            terminal_lines.append(x_line)
+            if fault is not None:
+                break
+    except SstpParseError as exc:  # a bad header
+        fault = exc
+    for _ in chunks:  # later lines cannot fail first, but the bytes may
+        pass
     if header is None:
         raise fault or SstpParseError("missing header")
 
     n, m, t = header
-    pairs, pair_lines, terminals, terminal_lines = kept
-    del kept
-    terminals = [p[:, 0] for p in terminals]
-    repeat = _first_repeat(terminals, terminal_lines)
+    repeat = _first_repeat(terminals)
     repeated_terminal = None if repeat is None else SstpParseError(
-        _MESSAGES[DUPLICATE_TERMINAL].format(val1=int(repeat[0][0]) + 1), repeat[1])
+        _MESSAGES[DUPLICATE_TERMINAL].format(val1=int(repeat[0][0]) + 1),
+        int(np.concatenate(terminal_lines)[repeat[1]]))
     x = np.concatenate(terminals)
     edges = sum(map(len, pairs))
     if fault is None and repeated_terminal is None and edges == m and len(x) == t:
         # the header has m >= n - 1 and m rows were read, so the build is
         # sized by the input, not by the header alone
         try:
-            graph = Graph(n, *_csr(n, pairs))
-        except RepeatedEdgeError as exc:  # only the rows know the line
-            raise _edge_repeat(pairs, pair_lines) or exc
-        del pairs, pair_lines
+            graph = _graph(n, pairs)
+        except RepeatedEdgeError as exc:  # only the source knows the line
+            raise _edge_repeat(pairs, reread) or exc
+        del pairs
         try:
             return SteinerInstance(graph=graph, terminals=tuple(x.tolist()))
         except ValueError as exc:  # terminals were checked above: not connected
             raise SstpParseError(str(exc)) from exc
 
-    found = [fault, repeated_terminal, _edge_repeat(pairs, pair_lines)]
+    found = [fault, repeated_terminal, _edge_repeat(pairs, reread)]
     found = [exc for exc in found if exc is not None]
     if found:
         raise min(found, key=lambda exc: exc.line)

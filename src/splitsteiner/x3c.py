@@ -149,11 +149,13 @@ def reduce_x3c(x: X3CInstance) -> tuple[SteinerInstance, int]:
             f"ground elements {listed}{more} appear in no triple; "
             "the reduced graph would be disconnected")
     nz = x.ground_size
-    t = len(x.triples)
-    clique = np.stack(np.triu_indices(t, 1), axis=1) + nz
+    n = nz + len(x.triples)
     membership = np.array([(e - 1, nz + l) for l, tr in enumerate(x.triples) for e in tr],
                           dtype=np.int64).reshape(-1, 2)
-    inst = SteinerInstance(graph=Graph.from_edges(nz + t, np.concatenate([clique, membership])),
+    # the triples form the clique, whose pairs the split layout implies
+    clique = np.zeros(n, dtype=bool)
+    clique[nz:] = True
+    inst = SteinerInstance(graph=Graph.from_cross_edges(clique, [membership]),
                            terminals=tuple(range(nz)))
     return inst, x.q
 

@@ -88,6 +88,21 @@ def test_solve_parse_error(tmp_path, capsys):
         assert err.startswith("error:") and why in err
 
 
+def test_disconnected_files_keep_message_and_exit_code(tmp_path, capsys):
+    """A split file with an isolated vertex, whose connectivity is read
+    from its degrees, and a file that is not split, which a BFS checks,
+    fail alike in solve and check: exit 1 and the same message."""
+    for name, text in (("split.sstp", "p sstp 4 3 0\ne 1 2\ne 1 3\ne 2 3\n"),
+                       ("c4-and-k2.sstp",
+                        "p sstp 6 5 0\ne 1 2\ne 2 3\ne 3 4\ne 1 4\ne 5 6\n")):
+        path = _write(tmp_path, name, text)
+        for command in ("solve", "check"):
+            assert main([command, "--input", path]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", "error: instance graph is not connected\n")
+
+
 def _disconnecting_solve(inst, **kwargs):
     """A wrong answer: the empty Steiner set for P3 with both ends as
     terminals."""

@@ -107,15 +107,52 @@ def test_bfs_tree_disconnected_raises():
         bfs_tree(g, range(4))
 
 
-def test_from_csr_matches_from_edges():
-    edges = [(0, 1), (0, 2), (1, 2), (2, 3)]
-    a = Graph.from_edges(4, edges)
-    indptr = np.array([0, 2, 4, 7, 8], dtype=np.int64)
-    indices = np.array([1, 2, 0, 2, 0, 1, 3, 2], dtype=np.int32)
-    b = Graph.from_csr(4, indptr, indices)
-    assert a == b
-    with pytest.raises(ValueError):
-        Graph.from_csr(3, indptr, indices)
+@st.composite
+def split_edge_lists(draw, max_n=10):
+    """A split graph as (n, clique mask, cross pairs, all edges): a clique
+    drawn anywhere among the ids, the rest independent."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    clique = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    ids = np.flatnonzero(clique).tolist()
+    rest = np.flatnonzero(~clique).tolist()
+    pairs = [(min(c, x), max(c, x)) for c in ids for x in rest]
+    cross = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))
+                 if pairs else st.just([]))
+    inside = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    return n, clique, cross, inside + cross
+
+
+@given(split_edge_lists(), st.data())
+@settings(max_examples=150)
+def test_split_layout_matches_from_edges(case, data):
+    """A graph stored as a clique mask plus its cross edges answers every
+    query as the full CSR of the same edges does."""
+    n, clique, cross, edges = case
+    full = Graph.from_edges(n, edges)
+    pairs = np.array(cross, dtype=np.int64).reshape(-1, 2)
+    g = Graph.from_cross_edges(clique, [pairs])
+    assert g._indices.size == 2 * len(cross)
+    assert g == full and full == g
+    assert (g.n, g.m) == (full.n, full.m)
+    assert g.degrees().tolist() == full.degrees().tolist()
+    for v in range(n):
+        assert g.neighbors(v).tolist() == full.neighbors(v).tolist()
+    assert list(g.edges()) == list(full.edges())
+    for a, b in zip(g.edge_arrays(), full.edge_arrays()):
+        assert a.tolist() == b.tolist()
+    assert is_connected(g) == is_connected(full)
+    subset = data.draw(st.sets(st.integers(0, n - 1)))
+    assert is_connected(g, subset) == is_connected(full, subset)
+    if is_connected(full, subset):
+        assert bfs_tree(g, subset) == bfs_tree(full, subset)
+    u = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=20)), dtype=np.int64)
+    v = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=u.size,
+                                    max_size=u.size)), dtype=np.int64)
+    assert g.has_edges(u, v).tolist() == full.has_edges(u, v).tolist()
+    # one edge moved to a missing pair: same n and m, other edges
+    missing = sorted({(a, b) for a in range(n) for b in range(a + 1, n)} - set(edges))
+    if edges and missing:
+        assert Graph.from_edges(n, edges[:-1] + missing[:1]) != g
 
 
 @st.composite

@@ -16,9 +16,11 @@ from splitsteiner import (
     gen_split,
     parse_instance,
     serialize_instance,
+    split_partition,
     sstp,
     write_instance,
 )
+from splitsteiner.split import _degree_test
 from helpers import reference_parse, reference_serialize
 
 P3 = "p sstp 3 2 2\ne 1 2\ne 2 3\nt 1\nt 3\n"
@@ -115,6 +117,111 @@ def test_duplicate_edges_past_two_to_the_32_vertices():
         with pytest.raises(SstpParseError) as exc:
             parse_instance(head + body)
         assert (exc.value.line, str(exc.value)) == (line, message)
+
+
+def test_ids_at_the_row_width_boundary():
+    """Edge rows are uint16 while n <= 65,536 and uint32 from there on.
+    At both widths a star on all n vertices, and the same star with its
+    first edge line turned into a repeat of its last, which names the
+    top id, parse as the line-by-line reference parses them."""
+    assert (sstp._id_dtype(65536), sstp._id_dtype(65537)) == (np.uint16, np.uint32)
+    for n in (65536, 65537):
+        edges = [f"e 1 {v}\n" for v in range(2, n + 1)]
+        star = f"p sstp {n} {n - 1} 1\n" + "".join(edges) + f"t {n}\n"
+        repeat = star.replace("e 1 2\n", edges[-1], 1)
+        assert _outcome(parse_instance, star) == _outcome(reference_parse, star)
+        assert _outcome(parse_instance, repeat) == _outcome(reference_parse, repeat) == (
+            "error", n, f"line {n}: duplicate edge (1, {n})")
+
+
+# every vertex has degree 3, as in K4, yet 1-2 and 3-4 are missing
+TRAP = "p sstp 4 6 0\ne 1 3\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 2 4\n"
+
+
+class _Unseekable(io.BytesIO):
+    """A binary stream that cannot seek, as a pipe is."""
+
+    def seekable(self) -> bool:
+        return False
+
+
+def test_degrees_of_a_split_graph_do_not_prove_it_simple():
+    """The trap's degrees pass the Hammer-Simeone test with all four
+    vertices as the clique, so only a check of the rows tells it from
+    K4: its repeated edge is reported at its line, from text, from an
+    open file and from a stream that cannot seek, whose line is found
+    without reading it twice."""
+    _, k, split = _degree_test(np.array([3, 3, 3, 3]))
+    assert split and k == 4
+    for parse in (parse_instance, lambda text: _parse_file(text.encode()),
+                  lambda text: parse_instance(_Unseekable(text.encode()))):
+        with pytest.raises(SstpParseError) as exc:
+            parse(TRAP)
+        assert (exc.value.line, str(exc.value)) == (3, "line 3: duplicate edge (1, 3)")
+
+
+@st.composite
+def split_files_with_a_repeat(draw):
+    """SSTP text of a connected split graph with random ids, in which one
+    repeat is put: a copy of a clique edge or of a clique-independent
+    edge, an edge between two independent vertices given twice, or two
+    edges (p, q), (r, s) swapped to (p, r), (q, s), which keeps every
+    degree and so the degree test's verdict."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    b = draw(st.integers(min_value=0, max_value=6))
+    ids = draw(st.permutations(range(k + b)))
+    clique, rest = ids[:k], ids[k:]
+    edges = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
+    for x in rest:
+        edges += [(c, x) for c in sorted(draw(st.sets(st.sampled_from(clique), min_size=1)))]
+    kind = draw(st.sampled_from(["clique", "cross", "independent", "swap"]))
+    if kind == "independent" and b >= 2:
+        edges += [tuple(rest[:2])] * 2
+    elif kind == "swap" and len(edges) >= 2:
+        i, j = draw(st.lists(st.integers(0, len(edges) - 1), min_size=2, max_size=2,
+                             unique=True))
+        (p, q), (r, s) = edges[i], edges[j]
+        if len({p, q, r, s}) == 4:
+            edges[i], edges[j] = (p, r), (q, s)
+    else:
+        inside = [e for e in edges if (e[1] in clique) == (kind == "clique")]
+        if inside:
+            edges.append(draw(st.sampled_from(inside)))
+    edges = draw(st.permutations(edges))
+    terminals = draw(st.lists(st.sampled_from(ids), unique=True))
+    lines = [f"p sstp {k + b} {len(edges)} {len(terminals)}"]
+    lines += [f"e {min(u, v) + 1} {max(u, v) + 1}" for u, v in edges]
+    lines += [f"t {x + 1}" for x in terminals]
+    return "\n".join(lines) + "\n"
+
+
+@given(split_files_with_a_repeat())
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+def test_split_input_with_a_repeat_matches_reference(text):
+    """On split graphs with a repeat in any position, the parse of text,
+    and of an open file in whole and in 7-byte chunks, gives what the
+    line-by-line reference gives: the instance, or the same line and
+    message."""
+    expected = _outcome(reference_parse, text)
+    assert _outcome(parse_instance, text) == expected
+    assert _outcome(_parse_file, text.encode()) == expected
+    with mock.patch.object(sstp, "CHUNK_BYTES", 7):
+        assert _outcome(_parse_file, text.encode()) == expected
+
+
+def test_parsed_split_file_stores_only_its_cross_edges():
+    """A split file is held as a clique mask and its cross edges: the
+    stored index arrays hold two entries per cross edge and none for the
+    clique's pairs. A file that is not split keeps the full CSR."""
+    inst = gen_split(GeneratorConfig(clique_size=60, independent_size=80, level=2, seed=3))
+    g = parse_instance(serialize_instance(inst)).graph
+    sp = split_partition(g)
+    cross = sum(len(sp.clique_neighbors(x)) for x in sp.independent)
+    assert g._indices.size == g._indptr[-1] == 2 * cross
+    assert np.flatnonzero(g._clique).tolist() == list(sp.clique)
+    assert g.m == inst.graph.m and g == inst.graph
+    c4 = parse_instance("p sstp 4 4 0\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n").graph
+    assert c4._clique is None and c4._indices.size == 2 * c4.m == 8
 
 
 def test_instance_validates_terminals():
@@ -583,8 +690,8 @@ def test_parse_memory_grows_with_edges_not_bytes():
     and 245k edges stays under A bytes per edge plus B per chunk byte.
 
     Measured (Python 3.11, numpy 2.4): the peak falls in the last chunk's
-    tokenizing and grows by about 23 bytes per edge, the text's UTF-8 copy
-    (10) and the rows (12), plus about 12 per chunk byte for one chunk's
+    tokenizing and grows by about 14 bytes per edge, the text's UTF-8 copy
+    (10) and the rows (4), plus about 13 per chunk byte for one chunk's
     temporaries. A and B leave more than twice that. A parser holding
     whole-text temporaries peaks at about 200 bytes per edge (20 per input
     byte) and fails both bounds.
@@ -608,34 +715,89 @@ def test_parse_memory_grows_with_edges_not_bytes():
         assert peak <= per_edge * m + per_chunk_byte * sstp.CHUNK_BYTES
 
 
-def test_parse_from_a_file_holds_rows_not_bytes(tmp_path):
-    """The tracemalloc peak of parse_instance on open gen files of about
-    245k and 500k edges grows by at most 24 bytes per edge between them.
-
-    Measured (Python 3.11, numpy 2.4): about 18. At the larger file the
-    peak is the graph build, 22 bytes per edge: int32 rows and line
-    numbers (12) and int32 sort keys (8), which become the CSR indices.
-    At the smaller it is the last chunk's tokenizing: the rows and about
-    3 MB of one chunk's temporaries. A parser that holds the file's
-    bytes, or a second sort key per edge, grows by about 43.
-    """
+def _parse_peaks(tmp_path, instances) -> list[tuple[int, int]]:
+    """(m, tracemalloc peak of parse_instance) for each instance, written
+    to a file and parsed from it open."""
     measured = []
-    for clique in (700, 1000):
-        path = tmp_path / f"clique{clique}.sstp"
+    for i, inst in enumerate(instances):
+        path = tmp_path / f"{i}.sstp"
         with open(path, "w", encoding="utf-8") as fh:
-            write_instance(gen_split(GeneratorConfig(
-                clique_size=clique, independent_size=clique, level=2, seed=1)), fh)
+            write_instance(inst, fh)
+        del inst
         with open(path, "rb") as fh:
             tracemalloc.start()
             try:
-                inst = parse_instance(fh)
+                parsed = parse_instance(fh)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        measured.append((inst.graph.m, peak))
-    (m1, peak1), (m2, peak2) = measured
+        measured.append((parsed.graph.m, peak))
+    return measured
+
+
+def test_parse_from_a_file_holds_rows_not_bytes(tmp_path):
+    """The tracemalloc peak of parse_instance on open gen files of about
+    245k and 500k edges grows by at most 6 bytes per edge between them.
+
+    Measured (Python 3.11, numpy 2.4): about 3.7. Both peaks are the last
+    chunk's tokenizing, and between them only the rows grow: two uint16
+    ids per edge (4 bytes). The split graph is then built from its cross
+    edges alone. Keeping an int32 line number per edge as well would
+    grow by about 8; the parse that built the full CSR of split input
+    from int32 rows and line numbers grew by about 15.
+    """
+    (m1, peak1), (m2, peak2) = _parse_peaks(tmp_path, (
+        gen_split(GeneratorConfig(clique_size=clique, independent_size=clique,
+                                  level=2, seed=1)) for clique in (700, 1000)))
+    assert m2 > 2 * m1
+    assert (peak2 - peak1) / (m2 - m1) <= 6
+
+
+def _cycle_join_clique(k: int) -> SteinerInstance:
+    """A C5 joined to every vertex of a K_k: not split, so the parse
+    builds its full CSR."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i, 5 + u) for i in range(5) for u in range(k)]
+    iu, ju = np.triu_indices(k, 1)
+    pairs = np.concatenate((np.array(edges), np.stack((iu, ju), axis=1) + 5))
+    return SteinerInstance(graph=Graph.from_edges(k + 5, pairs), terminals=())
+
+
+def test_parse_of_a_graph_that_is_not_split_holds_rows_and_keys(tmp_path):
+    """The tracemalloc peak of parse_instance on open files of about 250k
+    and 500k edges that are not split grows by at most 24 bytes per edge
+    between them.
+
+    Measured (Python 3.11, numpy 2.4): about 10. At the larger file the
+    peak is the CSR build: uint16 rows (4 bytes per edge), int32 sort
+    keys (8), which become the CSR indices, and a mask comparing
+    neighbouring keys.
+    """
+    (m1, peak1), (m2, peak2) = _parse_peaks(
+        tmp_path, (_cycle_join_clique(k) for k in (700, 1000)))
     assert m2 > 2 * m1
     assert (peak2 - peak1) / (m2 - m1) <= 24
+
+
+def test_gen_split_holds_no_array_of_clique_pairs():
+    """gen_split at |C| = 1000 peaks under |C|**2 bytes of tracemalloc:
+    the graph is built in the split layout, so no array with an entry per
+    clique pair is ever made (the full CSR's int32 indices alone took
+    4 * |C|**2 bytes).
+
+    Measured (Python 3.11, numpy 2.4): about 0.6 MB, against 4.6 MB for
+    the full CSR.
+    """
+    clique = 1000
+    tracemalloc.start()
+    try:
+        inst = gen_split(GeneratorConfig(clique_size=clique, independent_size=clique,
+                                         level=2, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.graph.m > clique * (clique - 1) // 2
+    assert peak < clique**2
 
 
 def test_duplicate_edge_costs_no_more_memory_than_a_valid_file(tmp_path):
@@ -643,9 +805,12 @@ def test_duplicate_edge_costs_no_more_memory_than_a_valid_file(tmp_path):
     its first is reported at that line, and the tracemalloc peak of its
     parse stays within the valid file's plus 8 bytes per chunk byte.
 
-    Measured (Python 3.11, numpy 2.4): both peak at about 6.5 MB. Joining
-    every row and line number to sort them, as the parse once did on this
-    path, peaked 4 MB (16 bytes per edge) above the valid file.
+    Measured (Python 3.11, numpy 2.4): 4.5 MB for the valid file and
+    5.2 MB for this one, whose degrees fail the split test, so the sort
+    keys of its full CSR (8 bytes per edge) are made before the repeat
+    is found. Joining every row and line number to sort them, as the
+    parse once did on this path, peaked 4 MB (16 bytes per edge) above
+    the valid file.
     """
     text = serialize_instance(gen_split(GeneratorConfig(
         clique_size=700, independent_size=700, level=2, seed=1)))
