@@ -149,6 +149,7 @@ def test_split_layout_matches_from_edges(case, data):
     v = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=u.size,
                                     max_size=u.size)), dtype=np.int64)
     assert g.has_edges(u, v).tolist() == full.has_edges(u, v).tolist()
+    assert [g.has_edge(a, b) for a, b in zip(u, v)] == full.has_edges(u, v).tolist()
     # one edge moved to a missing pair: same n and m, other edges
     missing = sorted({(a, b) for a in range(n) for b in range(a + 1, n)} - set(edges))
     if edges and missing:
