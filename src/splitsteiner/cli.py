@@ -188,6 +188,8 @@ def _bench_one(job: tuple[str, int, bool]) -> dict:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if not Path(args.dir).is_dir():
+        raise NotADirectoryError(f"not a directory: {args.dir}")
     paths = sorted(Path(args.dir).glob("*.sstp"))
     jobs = [(str(p), args.repeat, args.exact_fallback) for p in paths]
     workers = min(args.workers, len(jobs), os.cpu_count() or 1)

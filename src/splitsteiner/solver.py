@@ -49,6 +49,10 @@ from .structure import (
     restrict_view,
 )
 
+# the most non-terminal clique vertices the exact fallback searches over
+FALLBACK_POOL = 20
+
+
 @dataclass(frozen=True)
 class SolveTrace:
     """Which regime ran and the matching sizes it decided on."""
@@ -320,15 +324,14 @@ def solve_3split(pi: PrunedInstance) -> tuple[int, ...]:
     return _solve_3split_impl(pi.view)[0]
 
 
-def solve(inst: SteinerInstance, *, exact_fallback: bool = False,
-          fallback_budget: int = 20) -> SteinerResult:
+def solve(inst: SteinerInstance, *, exact_fallback: bool = False) -> SteinerResult:
     """Full pipeline; see the module docstring.
 
     exact_fallback sends instances with an induced K_{1,4} to the
     brute-force oracle instead of raising, provided at most
-    fallback_budget non-terminal clique vertices remain to search over.
+    FALLBACK_POOL non-terminal clique vertices remain to search over.
     The oracle keeps its default subset budget, above the 2**20 subsets
-    of the default fallback_budget.
+    of that pool.
     """
     sp = split_partition(inst.graph)  # NotSplitError propagates
     r_set = set(inst.terminals)
@@ -339,7 +342,7 @@ def solve(inst: SteinerInstance, *, exact_fallback: bool = False,
     if witness is not None:
         if exact_fallback:
             pool = [v for v in sp.clique if v not in r_set]
-            if len(pool) <= fallback_budget:
+            if len(pool) <= FALLBACK_POOL:
                 orc = brute_force_steiner(inst, universe="clique-only")
                 tree = _tree_edges(sp, set(orc.witness) | r_set)
                 return SteinerResult(tuple(orc.witness), tree,

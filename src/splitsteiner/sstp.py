@@ -16,18 +16,19 @@ an underscore (1_0), a non-ASCII digit, a longer number, and non-ASCII
 text such as a no-break space between two ids. A comment line, whose
 first non-blank character is '#', may hold any text.
 
-Parsing is one pass over chunks of UTF-8 bytes read from the source,
-each about CHUNK_BYTES long and cut just after a \\n byte. A \\n always
-ends a line and is never part of a \\r\\n pair's first half or of a
-multi-byte UTF-8 sequence, so no line, token or character spans two
-chunks. A chunk is tokenized with array operations (see _Chunk): bytes
-are classed by range comparisons, token bounds come from one flatnonzero,
-and each number is read from one unaligned little-endian 8-byte word per
-8 digits, whose digits are tested and joined by integer arithmetic on
-the whole word. The chunk is then checked line by line; only a row of
-ids per edge, in the narrowest dtype that holds n - 1 (uint16 while
-n <= 65,536: 4 bytes per edge), and an id and a line number per
-terminal outlive it. No line number is kept per edge.
+Parsing is one pass over chunks of UTF-8 bytes read from the source:
+each is one read of CHUNK_BYTES bytes, finished to the end of its last
+line by readline (see _utf8_chunks). A \\n always ends a line and is
+never part of a \\r\\n pair's first half or of a multi-byte UTF-8
+sequence, so no line, token or character spans two chunks. A chunk is
+tokenized with array operations (see _Chunk): bytes are classed by range
+comparisons, token bounds come from one flatnonzero, and each number is
+read from one unaligned little-endian 8-byte word per 8 digits, whose
+digits are tested and joined by integer arithmetic on the whole word.
+The chunk is then checked line by line; only a row of ids per edge, in
+the narrowest dtype that holds n - 1 (uint16 while n <= 65,536: 4 bytes
+per edge), and an id and a line number per terminal outlive it. No line
+number is kept per edge.
 
 The graph is then built from the rows (see _graph). Their degrees are
 counted first. When the Hammer-Simeone test (see split) passes, the rows
@@ -44,18 +45,18 @@ edge. When a repeat is found, the rows, each viewed as one item of 4, 8
 or 16 bytes, are sorted once more to find the earliest repeated row,
 and the source is read again, up to that row, for its line number.
 
-Parsing an open file therefore holds O(CHUNK_BYTES) bytes of text and
-per-chunk temporaries plus the rows, about 4 bytes per edge while
-n <= 65,536, and never the file's bytes. A split graph adds k**2 / 8
-bytes of bits, where k(k - 1) <= 2m, and its cross rows: on 0.5M edges
-the parse peaks at about 11 bytes per edge under tracemalloc, most of it
-the last chunk's tokenizing. Any other graph adds the sort keys and a
-mask over them: about 14 bytes per edge in all while n < 46,341 and
-about 30 from there on (int64 keys, then the int32 indices written
-beside them). A str or bytes source adds its own UTF-8
-bytes, and a file that cannot seek is read whole first. Nothing is
-sized by the header's counts. The .x3c reader (see x3c) tokenizes its
-chunks with the same code.
+Parsing an open file therefore holds one chunk of text (CHUNK_BYTES
+bytes and the rest of a line) and its temporaries plus the rows, about 4
+bytes per edge while n <= 65,536, and never the file's bytes. A split
+graph adds k**2 / 8 bytes of bits, where k(k - 1) <= 2m, and its cross
+rows: on 0.5M edges the parse peaks at about 11 bytes per edge under
+tracemalloc, most of it the last chunk's tokenizing. Any other graph
+adds the sort keys and a mask over them: about 14 bytes per edge in all
+while n < 46,341 and about 30 from there on (int64 keys, then the int32
+indices written beside them). A str or bytes source adds its own UTF-8
+bytes, and a file that cannot seek is read whole first. Nothing is sized
+by the header's counts. The .x3c reader (see x3c) tokenizes its chunks
+with the same code.
 
 Internally vertices are 0-based. Serialization is canonical: edges sorted
 lexicographically, terminals ascending, no comments. It is written a
@@ -180,44 +181,6 @@ def _index_dtype(bound: int) -> type:
     return np.int32 if bound < 2**31 else np.int64
 
 
-def _fill(source: BinaryIO, head: bytes, size: int) -> bytes:
-    """head followed by what source holds next, up to size bytes in all;
-    shorter only where the source ends."""
-    parts = [head]
-    size -= len(head)
-    while size > 0 and (more := source.read(size)):
-        parts.append(more)
-        size -= len(more)
-    return b"".join(parts)
-
-
-def _chunks(source: BinaryIO) -> Iterator[bytes]:
-    """The bytes of source in chunks: the longest prefix of the next
-    CHUNK_BYTES bytes that ends in \\n, or, when that window holds no \\n,
-    everything up to and including the next one (the rest of the data when
-    there is none). A chunk therefore ends a line, and no \\r\\n pair,
-    token or UTF-8 sequence spans two chunks. One byte past the window is
-    read to tell whether the data ends inside it."""
-    window = CHUNK_BYTES
-    buf = _fill(source, b"", window + 1)
-    while len(buf) > window:
-        cut = buf.rfind(b"\n", 0, window)
-        searched = window
-        while cut < 0 and searched < len(buf):
-            # a line longer than the window: read on to its \n, doubling
-            # what is held, so each byte of the line is copied O(1) times
-            cut = buf.find(b"\n", searched)
-            searched = len(buf)
-            if cut < 0:
-                buf = _fill(source, buf, 2 * searched)
-        if cut < 0:
-            break
-        yield buf[:cut + 1]
-        buf = _fill(source, buf[cut + 1:], window + 1)
-    if buf:
-        yield buf
-
-
 class _FileDecodeError(UnicodeDecodeError):
     """The UnicodeDecodeError of an invalid sequence in one chunk, with
     start and end counted from the start of the file. object is that
@@ -239,18 +202,23 @@ class _FileDecodeError(UnicodeDecodeError):
 
 
 def _utf8_chunks(source: str | bytes | BinaryIO) -> Iterator[np.ndarray]:
-    """The chunks of text (its UTF-8 bytes, lone surrogates kept), of
-    UTF-8 bytes or of a file open in binary mode, cut by _chunks, as
-    uint8 arrays. Bytes are checked a chunk at a time: chunks end a line,
-    so the first invalid sequence raises, when its chunk is reached, what
-    decoding the whole source raises."""
+    """The bytes of text (its UTF-8 bytes, lone surrogates kept), of
+    UTF-8 bytes or of a file open in binary mode in chunks, as uint8
+    arrays. A chunk is what one read of CHUNK_BYTES returns plus, unless
+    that ends in \\n, the rest of its last line (the rest of the data when
+    no \\n follows). A chunk therefore ends a line, and no \\r\\n pair,
+    token or UTF-8 sequence spans two chunks. Bytes are checked a chunk
+    at a time, so the first invalid sequence raises, when its chunk is
+    reached, what decoding the whole source raises."""
     strict = not isinstance(source, str)
     if not strict:
         source = source.encode("utf-8", "surrogatepass")
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     offset = 0
-    for chunk in _chunks(source):
+    while chunk := source.read(CHUNK_BYTES):
+        if not chunk.endswith(b"\n"):
+            chunk += source.readline()
         try:
             if strict:
                 str(chunk, "utf-8")

@@ -1,6 +1,10 @@
 import pytest
 
-from helpers import split_corpus
+# rewritten like a test module's, the helpers' asserts still run under
+# python -O, which strips a plain assert
+pytest.register_assert_rewrite("helpers")
+
+from helpers import split_corpus  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -296,6 +296,16 @@ def test_bench_empty_dir(tmp_path, capsys):
                                   "total_time_ms": 0.0}
 
 
+@pytest.mark.parametrize("name", ["missing", "file.sstp"])
+def test_bench_dir_must_be_a_directory(tmp_path, capsys, name):
+    _write(tmp_path, "file.sstp", P3)
+    path = tmp_path / name
+    assert main(["bench", "--dir", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not a directory: {path}\n"
+
+
 def test_bench_reports_and_parallel_determinism(tmp_path, capsys):
     _write(tmp_path, "a_p3.sstp", P3)
     _write(tmp_path, "b_ring.sstp", RING)
@@ -367,9 +377,9 @@ def _child_env():
     return env
 
 
-def _run(argv):
+def _run(argv, **kwargs):
     return subprocess.run(argv, capture_output=True, text=True,
-                          env=_child_env())
+                          env=_child_env(), **kwargs)
 
 
 def test_console_entry_point(tmp_path):
@@ -387,6 +397,25 @@ def test_console_entry_point(tmp_path):
     run = _run([sys.executable, "-c", LAUNCHER, "solve", "--input", c4])
     assert run.returncode == 2
     assert "not a split graph" in run.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_solve_reads_a_pipe(tmp_path):
+    """A pipe cannot seek, so it is read whole first: it solves to what
+    the file path gives, and a repeated edge is still placed on its
+    line by reading the source again."""
+    path = tmp_path / "gen.sstp"
+    assert main(["gen", "--level", "2", "--clique", "30", "--indep", "40",
+                 "--output", str(path)]) == 0
+    argv = [sys.executable, "-m", "splitsteiner", "solve", "--json", "--input"]
+    from_file = _run(argv + [str(path)])
+    piped = _run(argv + ["/dev/stdin"], input=path.read_text(encoding="utf-8"))
+    assert from_file.returncode == piped.returncode == 0
+    assert piped.stdout == from_file.stdout
+    trap = "p sstp 4 6 0\ne 1 3\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 2 4\n"
+    piped = _run(argv + ["/dev/stdin"], input=trap)
+    assert piped.returncode == 1 and piped.stdout == ""
+    assert piped.stderr == "error: line 3: duplicate edge (1, 3)\n"
 
 
 def test_gen_to_closed_pipe_exits_cleanly():

@@ -383,9 +383,16 @@ def test_k14_fallback():
 
 
 def test_k14_fallback_budget_too_small():
-    inst = SteinerInstance(graph=K14, terminals=(2, 3, 4))
+    """A K_{1,4} whose centre also lies in a clique of 20 more vertices:
+    the pool of non-terminal clique vertices holds 21, one too many for
+    the exact fallback."""
+    clique = range(5, 25)
+    edges = [(0, leaf) for leaf in range(1, 5)] + [(0, v) for v in clique]
+    edges += [(u, v) for u in clique for v in clique if u < v]
+    inst = SteinerInstance(graph=Graph.from_edges(25, edges), terminals=(1, 2, 3, 4))
+    assert len(split_partition(inst.graph).clique) == 21
     with pytest.raises(NotK14FreeError):
-        solve(inst, exact_fallback=True, fallback_budget=1)
+        solve(inst, exact_fallback=True)
 
 
 def test_dispatch_guards():

@@ -457,8 +457,8 @@ def _parse_file(data: bytes) -> SteinerInstance:
         return parse_instance(fh)
 
 
-def _chunk_list(data: bytes) -> list[bytes]:
-    return list(sstp._chunks(io.BytesIO(data)))
+def _chunk_list(source) -> list[bytes]:
+    return [chunk.tobytes() for chunk in sstp._utf8_chunks(source)]
 
 
 @given(mutated_sstp())
@@ -501,7 +501,7 @@ def test_chunk_cuts_match_reference(monkeypatch, name, chunk):
     text = CHUNK_CASES[name]
     data = text.encode("utf-8")
     if data.count(b"\n") > 1:
-        assert len(_chunk_list(data)) > 1
+        assert len(_chunk_list(io.BytesIO(data))) > 1
     expected = _outcome(reference_parse, text)
     assert _outcome(parse_instance, text) == expected
     assert _outcome(parse_instance, data) == expected
@@ -527,7 +527,7 @@ def test_chunk_cases_reach_the_intended_error():
 
 
 class _OneByteReads(io.RawIOBase):
-    """A binary source whose reads return at most one byte."""
+    """A seekable binary source whose reads return at most one byte."""
 
     def __init__(self, data: bytes):
         self._data = io.BytesIO(data)
@@ -535,35 +535,46 @@ class _OneByteReads(io.RawIOBase):
     def readable(self) -> bool:
         return True
 
+    def seekable(self) -> bool:
+        return True
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
+        return self._data.seek(offset, whence)
+
     def readinto(self, buffer) -> int:
         piece = self._data.read(min(len(buffer), 1))
         buffer[:len(piece)] = piece
         return len(piece)
 
 
-@given(st.lists(st.sampled_from([b"\n", b"\r", b"\r\n", b"a", b"\xc3\xa9"]), max_size=40)
-       .map(b"".join), st.sampled_from(CHUNK_SIZES))
+def _tiles_by_lines(chunks: list[bytes], data: bytes) -> bool:
+    """Whether the chunks, none empty, join to data and each but the
+    last ends in \\n."""
+    return (b"".join(chunks) == data and all(chunks)
+            and all(piece.endswith(b"\n") for piece in chunks[:-1]))
+
+
+@given(st.lists(st.sampled_from([b"\n", b"\r", b"\r\n", b"a", b"\xc3\xa9", b" ",
+                                 b"p sstp 3 2 1", b"e 1 2", b"e 2 3", b"t 1"]),
+                max_size=40).map(b"".join), st.sampled_from(CHUNK_SIZES))
 def test_cuts_end_just_after_a_newline(data, chunk):
-    """Chunks tile the data. Each but the last ends in \\n; one longer
-    than the window, the last one too, holds no other \\n, and a shorter
-    one leaves the window's rest free of \\n. A source that returns one
-    byte per read is cut the same way."""
+    """From a BytesIO, each chunk is the next CHUNK_BYTES bytes plus the
+    rest of the line that holds its last byte (the rest of the data when
+    no \\n follows). A source that returns one byte per read is cut
+    elsewhere, but its chunks also tile the data and end lines, and it
+    parses to what the line-by-line reference gives."""
+    expected, start = [], 0
+    while start < len(data):
+        stop = data.find(b"\n", start + chunk - 1) + 1 or len(data)
+        expected.append(data[start:stop])
+        start = stop
     with mock.patch.object(sstp, "CHUNK_BYTES", chunk):
-        chunks = _chunk_list(data)
-        assert list(sstp._chunks(_OneByteReads(data))) == chunks
-    bounds = [0]
-    for piece in chunks:
-        bounds.append(bounds[-1] + len(piece))
-    cuts = list(zip(bounds, bounds[1:]))
-    assert chunks == [data[start:stop] for start, stop in cuts]
-    assert bounds[-1] == len(data) and all(start < stop for start, stop in cuts)
-    for start, stop in cuts:
-        last = stop == len(data)
-        assert last or data[stop - 1:stop] == b"\n"
-        if stop - start > chunk:
-            assert b"\n" not in data[start:stop - 1]
-        elif not last:
-            assert b"\n" not in data[stop:start + chunk]
+        chunks = _chunk_list(io.BytesIO(data))
+        one_byte = _chunk_list(_OneByteReads(data))
+        outcome = _outcome(parse_instance, _OneByteReads(data))
+    assert chunks == expected
+    assert _tiles_by_lines(chunks, data) and _tiles_by_lines(one_byte, data)
+    assert outcome == _outcome(reference_parse, data.decode("utf-8"))
 
 
 @given(mutated_sstp(), st.sampled_from(CHUNK_SIZES))
