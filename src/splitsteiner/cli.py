@@ -1,9 +1,10 @@
 """Command-line surface: solve, check, oracle, reduce-x3c, gen, bench.
 
-Exit codes: 0 success, 1 I/O or parse or other errors (an answer that
-fails verification, a failed solver invariant and running out of memory
-among them), 2 input is not a split graph, 3 the graph has an induced
-K_(1,4) and no exact fallback was requested. All vertex ids in output
+Exit codes: 0 success, 1 usage, I/O, parse or other errors (an answer
+that fails verification, a failed solver invariant and running out of
+memory among them), 2 input is not a split graph, 3 the graph has an
+induced K_(1,4) and the exact fallback was not requested or refused its
+pool of clique vertices as too large. All vertex ids in output
 are 1-based, matching the file formats; JSON is emitted single-line
 with sorted keys so identical inputs give byte-identical output.
 """
@@ -275,7 +276,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed help (code 0) or its usage lines; a usage
+        # error exits 1, since 2 means the graph is not split
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except NotSplitError as exc:

@@ -38,15 +38,17 @@ class NotSplitError(SplitSteinerError):
 
 class NotK14FreeError(SplitSteinerError):
     """The split graph contains an induced K_{1,4}, so the polynomial
-    solvers do not apply. Carries the star witness."""
+    solvers do not apply. Carries the star witness; refused, when given,
+    says why the exact fallback declined the instance."""
 
-    def __init__(self, witness):
+    def __init__(self, witness, refused: str = ""):
         self.witness = witness
         center = witness.center + 1
         leaves = ", ".join(str(v + 1) for v in witness.leaves)
+        why = f", and the exact fallback was refused: {refused}" if refused else ""
         super().__init__(
             f"graph is not K_(1,4)-free: star centered at {center} "
-            f"with leaves ({leaves}); no polynomial regime applies"
+            f"with leaves ({leaves}); no polynomial regime applies{why}"
         )
 
 

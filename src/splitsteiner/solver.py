@@ -6,15 +6,21 @@ output tree. Every stage after split_partition reads the partition only,
 never the host graph: the output tree is the one a BFS would find, built
 from the cross edges in closed form (_tree_edges).
 Every regime reduces to picking clique vertices that cover the surviving
-independent terminals:
+independent terminals, and proves how many picks it saves over one
+clique neighbor per terminal; _cover makes the picks and raises
+InvariantError when |I1| - |S| is not that saving:
 
-  * delta 1: one clique neighbor per terminal, all forced;
-  * delta 2 (claw-free or general): a maximum matching in the labeled
-    graph M tells which clique vertices can cover two terminals at once,
-    giving |S| = |I1| - alpha(M) (minimum edge cover via Gallai);
+  * delta 1: one clique neighbor per terminal, all forced (saving 0);
+  * claw-free, |I1| <= 3: at delta 2 one clique vertex covers two
+    terminals (saving 1), at delta <= 1 as above (saving 0);
+  * delta 2: a maximum matching in the labeled graph M tells which
+    clique vertices can cover two terminals at once, giving
+    |S| = |I1| - alpha(M) (minimum edge cover via Gallai; saving
+    alpha(M));
   * delta 3, K_{1,4}-free: at most one clique vertex covering three
     terminals is ever worth using; the best center v in V_3 with a
-    matching on what remains yields |S| in {|I1|-2, |I1|-3, |I1|-4}.
+    matching on what remains yields |S| in {|I1|-2, |I1|-3, |I1|-4}
+    (saving 2 to 4).
     K_{1,4}-freeness makes the V_3 triples pairwise intersecting, so the
     surviving matching alpha(T_v) never exceeds 2, and the probe rests on
     three facts of intersecting families. (1) alpha(T_v) depends on the
@@ -151,14 +157,21 @@ def _check_disjoint(a: set[int], b: set[int]) -> None:
         raise InvariantError(f"vertex sets overlap at {sorted(a & b)}")
 
 
-def _cover(view: SplitPartition, s1: set[int]) -> tuple[int, ...]:
+def _cover(view: SplitPartition, s1: set[int], saved: range) -> tuple[int, ...]:
     """s1 plus the smallest clique neighbor of every terminal that s1
-    leaves uncovered, sorted."""
+    leaves uncovered, sorted. Raises InvariantError unless the answer
+    saves a number of picks in saved over one per terminal."""
     covered = {x for v in s1 for x in view.indep_neighbors(v)}
     s2 = set(corresponding_clique_set(
         view, [u for u in view.independent if u not in covered]))
     _check_disjoint(s1, s2)
-    return tuple(sorted(s1 | s2))
+    s = tuple(sorted(s1 | s2))
+    n_i1 = len(view.independent)
+    if n_i1 - len(s) not in saved:
+        raise InvariantError(
+            f"answer has {len(s)} vertices for {n_i1} terminals, a saving "
+            f"of {n_i1 - len(s)} outside [{saved[0]}, {saved[-1]}]")
+    return s
 
 
 def _link_kernel(link: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
@@ -229,16 +242,22 @@ def _probe_v3(view: SplitPartition) -> tuple[int, int]:
     return best_v, alphas[view.indep_neighbors(best_v)]
 
 
+def _solve_1split(view: SplitPartition) -> tuple[tuple[int, ...], SolveTrace]:
+    return _cover(view, set(), range(0, 1)), SolveTrace(regime="1-split")
+
+
 def solve_1split(pi: PrunedInstance) -> tuple[int, ...]:
     """One clique neighbor per terminal; all |I1| picks are forced."""
-    view = pi.view
-    if view.delta_i != 1:
-        raise ValueError(f"solve_1split needs delta_i == 1, got {view.delta_i}")
-    s = corresponding_clique_set(view, view.independent)
-    if len(s) != len(view.independent):
-        raise InvariantError(f"1-split answer has {len(s)} vertices for "
-                             f"{len(view.independent)} terminals")
-    return s
+    if pi.view.delta_i != 1:
+        raise ValueError(f"solve_1split needs delta_i == 1, got {pi.view.delta_i}")
+    return _solve_1split(pi.view)[0]
+
+
+def _solve_claw_free(view: SplitPartition) -> tuple[tuple[int, ...], SolveTrace]:
+    # at delta 2 the smallest clique vertex with two terminals saves a pick
+    shared = [v for v in view.clique if len(view.indep_neighbors(v)) == 2][:1]
+    return (_cover(view, set(shared), range(len(shared), len(shared) + 1)),
+            SolveTrace(regime="claw-free"))
 
 
 def solve_claw_free(pi: PrunedInstance) -> tuple[int, ...]:
@@ -248,22 +267,15 @@ def solve_claw_free(pi: PrunedInstance) -> tuple[int, ...]:
     view = pi.view
     if view.delta_i >= 3:
         raise ValueError("claw-free solver got a partition with delta_i >= 3")
-    if view.delta_i <= 1:
-        return corresponding_clique_set(view, view.independent)
-    if len(view.independent) > 3:
+    if view.delta_i == 2 and len(view.independent) > 3:
         raise ValueError("claw-free 2-split graphs have at most 3 I-vertices")
-    return _cover(view, {min(v for v in view.clique
-                             if len(view.indep_neighbors(v)) == 2)})
+    return _solve_claw_free(view)[0]
 
 
-def _solve_2split_impl(view: SplitPartition) -> tuple[tuple[int, ...], int]:
+def _solve_2split(view: SplitPartition) -> tuple[tuple[int, ...], SolveTrace]:
     labels, alpha = _matched_labels(view)
-    s = _cover(view, labels)
-    if len(s) != len(view.independent) - alpha:
-        raise InvariantError(
-            f"2-split answer has {len(s)} vertices, expected "
-            f"|I1| - alpha(M) = {len(view.independent) - alpha}")
-    return s, alpha
+    return (_cover(view, labels, range(alpha, alpha + 1)),
+            SolveTrace(regime="2-split", alpha_m=alpha))
 
 
 def solve_2split(pi: PrunedInstance) -> tuple[int, ...]:
@@ -271,13 +283,11 @@ def solve_2split(pi: PrunedInstance) -> tuple[int, ...]:
     every unmatched terminal gets its smallest clique neighbor."""
     if pi.view.delta_i != 2:
         raise ValueError(f"solve_2split needs delta_i == 2, got {pi.view.delta_i}")
-    return _solve_2split_impl(pi.view)[0]
+    return _solve_2split(pi.view)[0]
 
 
-def _solve_3split_impl(
-        view: SplitPartition) -> tuple[tuple[int, ...], int, int | None, int | None]:
-    """Returns (S, alpha_m, alpha_m2, chosen_v3_vertex). Needs a
-    K_{1,4}-free view with delta_i == 3."""
+def _solve_3split(view: SplitPartition) -> tuple[tuple[int, ...], SolveTrace]:
+    """Needs a K_{1,4}-free view with delta_i == 3."""
     best_v, best_alpha = _probe_v3(view)
     alpha_m2: int | None = None
     chosen: int | None
@@ -304,13 +314,9 @@ def _solve_3split_impl(
         else:
             chosen = view.v3[0]
             s1 = {chosen}
-    s = _cover(view, s1)
-    n_i1 = len(view.independent)
-    if not n_i1 - 4 <= len(s) <= n_i1 - 2:
-        raise InvariantError(
-            f"3-split answer has {len(s)} vertices, outside "
-            f"[|I1| - 4, |I1| - 2] = [{n_i1 - 4}, {n_i1 - 2}]")
-    return s, alpha_m, alpha_m2, chosen
+    return (_cover(view, s1, range(2, 5)),
+            SolveTrace(regime="3-split", alpha_m=alpha_m, alpha_m2=alpha_m2,
+                       chosen_v3_vertex=chosen))
 
 
 def solve_3split(pi: PrunedInstance) -> tuple[int, ...]:
@@ -321,7 +327,7 @@ def solve_3split(pi: PrunedInstance) -> tuple[int, ...]:
         raise ValueError(f"solve_3split needs delta_i == 3, got {pi.view.delta_i}")
     if find_induced_star(pi.view, 4) is not None:
         raise ValueError("solve_3split needs a K_{1,4}-free reduced graph")
-    return _solve_3split_impl(pi.view)[0]
+    return _solve_3split(pi.view)[0]
 
 
 def solve(inst: SteinerInstance, *, exact_fallback: bool = False) -> SteinerResult:
@@ -340,14 +346,17 @@ def solve(inst: SteinerInstance, *, exact_fallback: bool = False) -> SteinerResu
 
     witness = find_induced_star(sp, 4)
     if witness is not None:
-        if exact_fallback:
-            pool = [v for v in sp.clique if v not in r_set]
-            if len(pool) <= FALLBACK_POOL:
-                orc = brute_force_steiner(inst, universe="clique-only")
-                tree = _tree_edges(sp, set(orc.witness) | r_set)
-                return SteinerResult(tuple(orc.witness), tree,
-                                     SolveTrace(regime="exact-fallback"))
-        raise NotK14FreeError(witness)
+        if not exact_fallback:
+            raise NotK14FreeError(witness)
+        pool = sum(v not in r_set for v in sp.clique)
+        if pool > FALLBACK_POOL:
+            raise NotK14FreeError(witness, refused=(
+                f"{pool} non-terminal clique vertices, more than its limit "
+                f"of {FALLBACK_POOL}"))
+        orc = brute_force_steiner(inst, universe="clique-only")
+        tree = _tree_edges(sp, set(orc.witness) | r_set)
+        return SteinerResult(tuple(orc.witness), tree,
+                             SolveTrace(regime="exact-fallback"))
 
     pi = prune(inst, sp)
     view = pi.view
@@ -362,19 +371,13 @@ def solve(inst: SteinerInstance, *, exact_fallback: bool = False) -> SteinerResu
     if not 1 <= d <= 3:  # every terminal kept a clique neighbor; K14-free caps at 3
         raise InvariantError(f"reduced instance has delta_i = {d}, outside [1, 3]")
     if d == 1:
-        s: tuple[int, ...] = solve_1split(pi)
-        trace = SolveTrace(regime="1-split")
+        s, trace = _solve_1split(view)
+    elif len(i1) <= 3 and d == 2 and find_induced_star(view, 3) is None:
+        s, trace = _solve_claw_free(view)
     elif d == 2:
-        if len(i1) <= 3 and find_induced_star(view, 3) is None:
-            s = solve_claw_free(pi)
-            trace = SolveTrace(regime="claw-free")
-        else:
-            s, alpha = _solve_2split_impl(view)
-            trace = SolveTrace(regime="2-split", alpha_m=alpha)
+        s, trace = _solve_2split(view)
     else:
-        s, alpha, alpha2, chosen = _solve_3split_impl(view)
-        trace = SolveTrace(regime="3-split", alpha_m=alpha, alpha_m2=alpha2,
-                           chosen_v3_vertex=chosen)
+        s, trace = _solve_3split(view)
     _check_disjoint(set(s), r_set)
     return SteinerResult(s, _tree_edges(sp, set(s) | r_set), trace)
 

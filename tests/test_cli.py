@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import splitsteiner
 from splitsteiner import (
@@ -159,6 +160,40 @@ def test_solve_hard_instance_exit_3(tmp_path, capsys):
     assert payload["size"] == 2
     assert payload["regime"] == "exact-fallback"
     assert "optimal" not in payload
+
+
+def test_solve_refused_fallback_says_so(tmp_path, capsys):
+    """A K_{1,4} whose centre lies in a clique with 20 more vertices: the
+    fallback refuses the 21 non-terminal clique vertices, exit 3 says
+    why, and the same file without the flag keeps the plain message."""
+    clique = range(5, 25)
+    edges = [(0, leaf) for leaf in range(1, 5)] + [(0, v) for v in clique]
+    edges += [(u, v) for u in clique for v in clique if u < v]
+    path = _write(tmp_path, "k14.sstp", serialize_instance(SteinerInstance(
+        graph=Graph.from_edges(25, edges), terminals=(1, 2, 3, 4))))
+    assert main(["solve", "--input", path, "--json", "--exact-fallback"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: graph is not K_(1,4)-free: star centered at 1 with "
+                   "leaves (2, 3, 4, 5); no polynomial regime applies, and the "
+                   "exact fallback was refused: 21 non-terminal clique "
+                   "vertices, more than its limit of 20\n")
+    assert main(["solve", "--input", path]) == 3
+    assert capsys.readouterr().err.endswith("no polynomial regime applies\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["bogus"], ["gen", "--level", "5", "--clique", "3", "--indep", "3"]])
+def test_usage_error_exits_1(capsys, argv):
+    """Exit 2 means "not a split graph", so argparse's usage errors exit 1."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage:")
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage:")
 
 
 def test_reduce_x3c_report_and_sidecar(tmp_path, capsys):
@@ -487,3 +522,117 @@ def test_installed_console_script(tmp_path):
     run = _run([shutil.which("splitsteiner"), "check", "--input", path])
     assert run.returncode == 0
     assert json.loads(run.stdout)["split"] is True
+
+
+# what replaces a token of a well-formed file: pieces of both grammars,
+# numbers of up to 18 digits, signs, a comment mark and bytes that are
+# not UTF-8 or are not ASCII
+_FUZZ_TOKENS = st.one_of(
+    st.sampled_from([b"p sstp", b"e", b"t", b"x3c", b"c", b"-1", b"+1", b"0",
+                     b"#", b"", b"\xff", b"\xc3\xa9"]),
+    st.integers(0, 10**18 - 1).map(lambda i: b"%d" % i),
+)
+
+
+@st.composite
+def _files(draw):
+    """A .sstp file of at most 5 vertices or an .x3c file of at most 6
+    elements, with a few of its tokens replaced, comment lines added and
+    the whole cut to 64 bytes: often well formed, so that the commands
+    also run to the end."""
+    if draw(st.booleans()):
+        # a spanning tree plus a few more edges, so that most are connected
+        n = draw(st.integers(1, 5))
+        ids = st.integers(1, n)
+        edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+        edges += draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] < e[1]),
+                               max_size=2))
+        edges = list(dict.fromkeys(edges))
+        terms = draw(st.lists(ids, max_size=3, unique=True))
+        lines = [[b"p sstp", b"%d" % n, b"%d" % len(edges), b"%d" % len(terms)]]
+        lines += [[b"e", b"%d" % u, b"%d" % v] for u, v in edges]
+        lines += [[b"t", b"%d" % x] for x in terms]
+    else:
+        # an exact cover of the ground set plus a few more triples
+        q = draw(st.sampled_from([3, 6]))
+        triples = [(1, 2, 3), (4, 5, 6)][:q // 3]
+        triples += draw(st.lists(st.lists(st.integers(1, q), min_size=3, max_size=3,
+                                          unique=True).map(tuple), max_size=2))
+        lines = [[b"x3c", b"%d" % q, b"%d" % len(triples)]]
+        lines += [[b"c", *(b"%d" % x for x in t)] for t in triples]
+    for _ in range(draw(st.integers(0, 2))):
+        line = draw(st.sampled_from(lines))
+        line[draw(st.integers(0, len(line) - 1))] = draw(_FUZZ_TOKENS)
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), [b"# x"])
+    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return b"".join(b" ".join(line) + eol for line in lines)[:64]
+
+
+# every command that reads a file; True where it prints one JSON line
+_FILE_COMMANDS = [(["solve", "--json"], True), (["solve", "--exact-fallback"], False),
+                  (["check"], True), (["oracle"], True),
+                  (["oracle", "--universe", "all"], True), (["reduce-x3c"], True)]
+
+
+@given(_files())
+@example(P3.encode())
+@example(X3C.encode())
+@example(C4.encode())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_files_exit_cleanly(tmp_path, capsys, data):
+    """On any short file every command returns 0-3 with no exception:
+    2 only for a graph that is not split, one error line on failure and
+    one JSON line on success."""
+    path = tmp_path / "fuzz.in"
+    path.write_bytes(data)
+    for command, prints_json in _FILE_COMMANDS:
+        argv = command + ["--input", str(path)]
+        if command[0] == "reduce-x3c":
+            argv += ["--output", str(tmp_path / "fuzz.sstp")]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), (argv, data)
+        assert code != 2 or "not a split graph" in err, (argv, data, err)
+        if code != 0:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, data, err)
+        if code == 0 and prints_json:
+            assert out.count("\n") == 1, (argv, data, out)
+            json.loads(out)
+
+
+# each subcommand's required options, as (flag, value) pairs
+_REQUIRED = {
+    "solve": [("--input", "in.sstp")],
+    "check": [("--input", "in.sstp")],
+    "oracle": [("--input", "in.sstp")],
+    "reduce-x3c": [("--input", "in.x3c"), ("--output", "out.sstp")],
+    "gen": [("--level", "1"), ("--clique", "3"), ("--indep", "3")],
+    "bench": [("--dir", ".")],
+}
+
+
+@st.composite
+def _usage_errors(draw):
+    """argv with an unknown or missing subcommand, a required option
+    dropped, or a --level that gen does not take."""
+    command = draw(st.sampled_from(sorted(_REQUIRED) + ["bogus", "solv", ""]))
+    pairs = list(_REQUIRED.get(command, [("--input", "in.sstp")]))
+    if command in _REQUIRED:
+        fault = draw(st.integers(0, len(pairs) - (command != "gen")))
+        if fault < len(pairs):
+            del pairs[fault]
+        else:
+            pairs[0] = ("--level", draw(st.sampled_from(["0", "4", "5", "-1", "x"])))
+    pairs = draw(st.permutations(pairs))
+    return [command] * bool(command) + [arg for pair in pairs for arg in pair]
+
+
+@given(_usage_errors())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_usage_errors_exit_1(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage:"), (argv, err)

@@ -391,7 +391,12 @@ def test_k14_fallback_budget_too_small():
     edges += [(u, v) for u in clique for v in clique if u < v]
     inst = SteinerInstance(graph=Graph.from_edges(25, edges), terminals=(1, 2, 3, 4))
     assert len(split_partition(inst.graph).clique) == 21
-    with pytest.raises(NotK14FreeError):
+    with pytest.raises(NotK14FreeError) as plain:
+        solve(inst)
+    assert "fallback" not in str(plain.value)
+    with pytest.raises(NotK14FreeError, match=(
+            "no polynomial regime applies, and the exact fallback was refused: "
+            "21 non-terminal clique vertices, more than its limit of 20$")):
         solve(inst, exact_fallback=True)
 
 
@@ -561,6 +566,48 @@ def test_invariant_violation_raises(tmp_path, capsys, monkeypatch):
     path.write_text(serialize_instance(inst), encoding="utf-8")
     assert main(["solve", "--input", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: matching at center")
+
+
+def _one_pick_too_many(real):
+    """corresponding_clique_set that also picks the largest clique vertex
+    of the view it has not picked."""
+    def patched(sp, vertices):
+        picks = real(sp, vertices)
+        return tuple(sorted(picks + (max(set(sp.clique) - set(picks)),)))
+    return patched
+
+
+@pytest.mark.parametrize("g,terminals,regime,saving", [
+    (PROMO, (3, 4), "1-split", r"-1 outside \[0, 0\]"),
+    (CLAWFREE2, (3, 4, 5), "claw-free", r"0 outside \[1, 1\]"),
+    (RING, (4, 5, 6, 7), "2-split", r"1 outside \[2, 2\]"),
+    (HUB, (3, 4, 5, 6), "3-split", r"1 outside \[2, 4\]"),
+], ids=["1-split", "claw-free", "2-split", "3-split"])
+def test_cover_checks_the_saving_in_every_regime(tmp_path, capsys, monkeypatch,
+                                                 g, terminals, regime, saving):
+    """One pick too many breaks the saving each regime proves, in solve()
+    and in the public regime solver; the CLI exits 1 with one error line."""
+    inst = SteinerInstance(graph=g, terminals=terminals)
+    assert solve(inst).trace.regime == regime
+    pi = prune(inst, split_partition(g))
+    # solve_claw_free also takes a delta-1 view, where it saves nothing
+    regime_solvers = {"1-split": [solve_1split, solve_claw_free],
+                      "claw-free": [solve_claw_free], "2-split": [solve_2split],
+                      "3-split": [solve_3split]}[regime]
+    monkeypatch.setattr(splitsteiner.solver, "corresponding_clique_set",
+                        _one_pick_too_many(splitsteiner.solver.corresponding_clique_set))
+    match = f"terminals, a saving of {saving}$"
+    with pytest.raises(InvariantError, match=match):
+        solve(inst)
+    for regime_solver in regime_solvers:
+        with pytest.raises(InvariantError, match=match):
+            regime_solver(pi)
+    path = tmp_path / "inst.sstp"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    assert main(["solve", "--input", str(path), "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: answer has") and err.count("\n") == 1
 
 
 def test_solver_has_no_assert():
