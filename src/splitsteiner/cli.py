@@ -19,15 +19,28 @@ import time
 from pathlib import Path
 
 from .errors import NotK14FreeError, NotSplitError, SplitSteinerError
-from .generate import GeneratorConfig, gen_split
-from .oracle import brute_force_steiner, verify_solution
-from .solver import solve
 from .split import split_partition
 from .sstp import SteinerInstance, parse_instance, write_instance
-from .structure import find_induced_star
-from .x3c import parse_x3c, reduce_x3c
 
 _UNIVERSE_FLAG = {"all": "all-vertices", "clique": "clique-only"}
+
+# Each command imports the stage modules it runs, so that `check` never
+# loads the solver. The stages perfbench's tracer wraps on this module
+# stay names of it: parse_instance and split_partition (sstp loads split
+# anyway), and solve and verify_solution, which import their stage when
+# called.
+
+
+def solve(inst: SteinerInstance, *, exact_fallback: bool = False):
+    """solver.solve, with the solver imported on the first call."""
+    from . import solver
+    return solver.solve(inst, exact_fallback=exact_fallback)
+
+
+def verify_solution(inst: SteinerInstance, s, tree_edges=None) -> bool:
+    """oracle.verify_solution, with the oracle imported on the first call."""
+    from . import oracle
+    return oracle.verify_solution(inst, s, tree_edges)
 
 
 def _read_instance(path: str) -> SteinerInstance:
@@ -67,6 +80,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .structure import find_induced_star
+
     inst = _read_instance(args.input)
     try:
         sp = split_partition(inst.graph)
@@ -105,6 +120,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import brute_force_steiner
+
     inst = _read_instance(args.input)
     universe = _UNIVERSE_FLAG[args.universe]
     res = brute_force_steiner(inst, universe=universe, budget=args.budget)
@@ -118,6 +135,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    from .x3c import parse_x3c, reduce_x3c
+
     with open(args.input, "rb") as fh:  # read and checked a chunk at a time
         x = parse_x3c(fh)
     inst, q = reduce_x3c(x)
@@ -135,6 +154,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .generate import GeneratorConfig, gen_split
+
     cfg = GeneratorConfig(
         clique_size=args.clique,
         independent_size=args.indep,

@@ -16,6 +16,19 @@ K_{1,4}-free iff the same holds for every clique vertex with three
 (r = 4). Neither needs the clique to be maximal, so the solvers ask it
 about pruned views too.
 
+The second test is read per key, a distinct set N_I(v) with d_I(v) =
+r-1: some clique vertex misses the key iff its members' clique
+neighborhoods cover less than C. With delta_i <= r-1 the size of that
+union comes from inclusion-exclusion: one pass over the clique adds 1
+to every subset of N_I(w) with two or more vertices, at most 2^(r-1) - r
+of them per clique vertex w, and the singletons are the degrees of the
+key's members. Each key then costs at most 2^(r-1) - 1 terms, and only
+the first key with a gap is scanned for its smallest missing clique
+vertex, so the test reads O(|C| + cross edges). With delta_i >= r the
+first center with d_I >= r is a witness by itself, and only the keys of
+the centers before it need the test; those take the direct union of
+neighborhoods, at O(|C|) per key.
+
 The labeled graph M of a view with d_I <= 2 has the independent set as
 its vertices and one edge {a, b} per pair sharing a clique neighbor; the
 edge is labeled by the smallest such neighbor. Matchings in M translate
@@ -24,8 +37,10 @@ back to Steiner vertices via the corresponding vertex/clique sets.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
-from collections.abc import Iterable
+from itertools import combinations
 
 from .split import SplitPartition
 
@@ -61,27 +76,64 @@ def find_induced_star(sp: SplitPartition, r: int) -> StarWitness | None:
 
     Requires r >= 3. Within a center, leaves all in the independent set
     are preferred; otherwise the last leaf is the smallest clique vertex
-    whose neighborhood misses N_I(center).
+    whose neighborhood misses N_I(center). The centers with d_I = r-1
+    that come before the first with d_I >= r are tested by key, as the
+    module docstring describes.
     """
     if r < 3:
         raise ValueError("induced-star search needs r >= 3")
     if sp.delta_i <= r - 2:
         return None
-    gaps: dict[tuple[int, ...], int | None] = {}
+    first: dict[tuple[int, ...], int] = {}  # key N_I(v) -> its first center v
+    star = None
     for v in sp.clique:
         n_i = sp.indep_neighbors(v)
-        d = len(n_i)
-        if d >= r:
-            return StarWitness(center=v, leaves=tuple(n_i[:r]))
-        if d == r - 1:
-            if n_i not in gaps:
-                seen = set().union(*map(sp.clique_neighbors, n_i))
-                gaps[n_i] = None if len(seen) == len(sp.clique) else min(
-                    w for w in sp.clique if w not in seen)
-            w = gaps[n_i]
-            if w is not None:
-                return StarWitness(center=v, leaves=tuple(n_i) + (w,))
-    return None
+        if len(n_i) >= r:
+            star = StarWitness(center=v, leaves=n_i[:r])
+            break
+        if len(n_i) == r - 1:
+            first.setdefault(n_i, v)
+    size = len(sp.clique)
+    if star is None:
+        union_size = _union_sizes(sp, first)
+        gapped = (key for key in first if union_size[key] < size)
+    else:
+        gapped = (key for key in first if len(_union(sp, key)) < size)
+    key = next(gapped, None)
+    if key is None:
+        return star
+    seen = _union(sp, key)
+    return StarWitness(center=first[key],
+                       leaves=key + (min(w for w in sp.clique if w not in seen),))
+
+
+def _union(sp: SplitPartition, key: tuple[int, ...]) -> set[int]:
+    return set().union(*map(sp.clique_neighbors, key))
+
+
+def _union_sizes(sp: SplitPartition,
+                 keys: Collection[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """|N_C(a_1) u ... u N_C(a_j)| for each key (a_1, ..., a_j), by
+    inclusion-exclusion over c(S) = #{w in C : S <= N_I(w)}. A singleton's
+    c is the degree of its vertex, read once per vertex; the larger
+    subsets are counted in one pass over the clique, which reads every
+    subset of N_I(w) of size >= 2, so delta_i bounds the work per w."""
+    counts: defaultdict[tuple[int, ...], int] = defaultdict(int)
+    for w in sp.clique:
+        xs = sp.indep_neighbors(w)
+        for j in range(2, len(xs) + 1):
+            for s in combinations(xs, j):
+                counts[s] += 1
+    degree = {a: len(sp.clique_neighbors(a)) for a in set().union(*keys)}
+    out = {}
+    for key in keys:
+        total = sum(degree[a] for a in key)
+        sign = -1
+        for j in range(2, len(key) + 1):
+            total += sign * sum(counts[s] for s in combinations(key, j))
+            sign = -sign
+        out[key] = total
+    return out
 
 
 @dataclass(frozen=True)

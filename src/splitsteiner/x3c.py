@@ -13,7 +13,7 @@ j-1, the l-th triple (0-based) is vertex 3q + l.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import BinaryIO
 
 import numpy as np
@@ -35,27 +35,45 @@ class X3CInstance:
     triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.ground_size < 3 or self.ground_size % 3 != 0:
-            raise ValueError(
-                f"ground size must be a positive multiple of 3, got {self.ground_size}")
-        norm = []
-        for t in self.triples:
-            if len(t) != 3 or len(set(t)) != 3:
-                raise ValueError(f"triple {t} must have exactly 3 distinct elements")
-            for e in t:
-                if not 1 <= e <= self.ground_size:
-                    raise ValueError(
-                        f"element {e} outside ground set 1..{self.ground_size}")
-            norm.append(tuple(sorted(t)))
-        norm.sort()
-        for a, b in zip(norm, norm[1:]):
-            if a == b:
-                raise ValueError(f"duplicate triple {a}")
-        object.__setattr__(self, "triples", tuple(norm))
+        g = self.ground_size
+        if g < 3 or g % 3 != 0:
+            raise ValueError(f"ground size must be a positive multiple of 3, got {g}")
+        # one array pass up to the first triple not of length 3; the first
+        # bad triple, in the given order, then raises its own error
+        sizes = np.fromiter(map(len, self.triples), dtype=np.int64,
+                            count=len(self.triples))
+        ragged = np.flatnonzero(sizes != 3)
+        head = int(ragged[0]) if ragged.size else sizes.size
+        given = np.fromiter(chain.from_iterable(self.triples[:head]), dtype=np.int64,
+                            count=3 * head).reshape(head, 3)
+        rows = np.sort(given, axis=1)
+        bad = np.flatnonzero((rows[:, 0] == rows[:, 1]) | (rows[:, 1] == rows[:, 2])
+                             | (rows[:, 0] < 1) | (rows[:, 2] > g))
+        if bad.size or head < sizes.size:
+            _check_triple(self.triples[bad[0] if bad.size else head], g)
+        order = np.lexsort(rows.T[::-1])
+        dup = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+        if dup.any():
+            raise ValueError(f"duplicate triple {tuple(rows[order[np.argmax(dup)]].tolist())}")
+        if (rows == given).all():
+            # each triple is already sorted, as parse_x3c makes them: reorder
+            # the given tuples, since building new ones wakes the cyclic GC
+            triples = tuple(map(self.triples.__getitem__, order.tolist()))
+        else:
+            triples = tuple(map(tuple, rows[order].tolist()))
+        object.__setattr__(self, "triples", triples)
 
     @property
     def q(self) -> int:
         return self.ground_size // 3
+
+
+def _check_triple(t: tuple[int, ...], ground_size: int) -> None:
+    if len(t) != 3 or len(set(t)) != 3:
+        raise ValueError(f"triple {t} must have exactly 3 distinct elements")
+    for e in t:
+        if not 1 <= e <= ground_size:
+            raise ValueError(f"element {e} outside ground set 1..{ground_size}")
 
 
 def parse_x3c(source: str | bytes | BinaryIO) -> X3CInstance:

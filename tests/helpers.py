@@ -13,7 +13,14 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from splitsteiner import Graph, NotSplitError, SstpParseError, SteinerInstance
+from splitsteiner import (
+    Graph,
+    NotSplitError,
+    SplitPartition,
+    SstpParseError,
+    StarWitness,
+    SteinerInstance,
+)
 from splitsteiner.matching import alpha_capped
 
 
@@ -25,6 +32,30 @@ def graph_from_masks(n: int, masks: list[int]) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if masks[u] >> v & 1]
     return Graph.from_edges(n, edges)
+
+
+def reference_find_star(sp: SplitPartition, r: int) -> StarWitness | None:
+    """The union-per-key star test that inclusion-exclusion replaced in
+    the package, kept as its reference: O(|C|) per distinct N_I(v)."""
+    if r < 3:
+        raise ValueError("induced-star search needs r >= 3")
+    if sp.delta_i <= r - 2:
+        return None
+    gaps: dict[tuple[int, ...], int | None] = {}
+    for v in sp.clique:
+        n_i = sp.indep_neighbors(v)
+        d = len(n_i)
+        if d >= r:
+            return StarWitness(center=v, leaves=tuple(n_i[:r]))
+        if d == r - 1:
+            if n_i not in gaps:
+                seen = set().union(*map(sp.clique_neighbors, n_i))
+                gaps[n_i] = None if len(seen) == len(sp.clique) else min(
+                    w for w in sp.clique if w not in seen)
+            w = gaps[n_i]
+            if w is not None:
+                return StarWitness(center=v, leaves=tuple(n_i) + (w,))
+    return None
 
 
 def brute_find_star(masks: list[int], r: int):
@@ -413,3 +444,16 @@ def adversarial_instance(k: int, seed: int) -> SteinerInstance:
     perm = np.random.default_rng(seed).permutation(n)
     return SteinerInstance(graph=Graph.from_edges(n, perm[edges]),
                            terminals=tuple(perm[k:].tolist()))
+
+
+def adversarial_partition(k: int, seed: int) -> SplitPartition:
+    """The partition split_partition gives for adversarial_instance(k,
+    seed), built from its cross edges alone, without the C(k, 2) clique
+    edges of a Graph."""
+    perm = np.random.default_rng(seed).permutation(2 * k + 3).tolist()
+    pairs = ((0, 1), (0, 2), (1, 2))
+    n_i = {perm[i]: tuple(sorted((perm[k + pairs[i % 3][0]], perm[k + pairs[i % 3][1]],
+                                  perm[k + 3 + i])))
+           for i in range(k)}
+    return SplitPartition.from_neighbor_map(2 * k + 3, tuple(sorted(perm[:k])),
+                                            tuple(sorted(perm[k:])), n_i)

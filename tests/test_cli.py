@@ -111,7 +111,7 @@ def _disconnecting_solve(inst, **kwargs):
 
 
 def test_solve_rejects_unverified_answer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("splitsteiner.cli.solve", _disconnecting_solve)
+    monkeypatch.setattr("splitsteiner.solver.solve", _disconnecting_solve)
     path = _write(tmp_path, "p3.sstp", P3)
     assert main(["solve", "--input", path, "--json"]) == 1
     out = capsys.readouterr()
@@ -120,7 +120,7 @@ def test_solve_rejects_unverified_answer(tmp_path, capsys, monkeypatch):
 
 
 def test_bench_fails_on_unverified_answer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("splitsteiner.cli.solve", _disconnecting_solve)
+    monkeypatch.setattr("splitsteiner.solver.solve", _disconnecting_solve)
     _write(tmp_path, "p3.sstp", P3)
     assert main(["bench", "--dir", str(tmp_path), "--no-times",
                  "--workers", "1"]) == 1
@@ -478,6 +478,26 @@ def test_cli_import_leaves_process_pool_out():
                 "print('concurrent.futures.process' in sys.modules)"])
     assert run.returncode == 0, run.stderr
     assert run.stdout == "False\n"
+
+
+def test_check_imports_only_its_stages(tmp_path):
+    """`check` loads none of the modules that only other commands run,
+    and a star import still binds every name the package exports."""
+    path = _write(tmp_path, "claw.sstp", CLAW)
+    run = _run([sys.executable, "-c",
+                "import json, sys; from splitsteiner.cli import main; "
+                f"code = main(['check', '--input', {path!r}]); "
+                "print(json.dumps(sorted(sys.modules)))"])
+    assert run.returncode == 0, run.stderr
+    first, loaded = run.stdout.splitlines()
+    assert json.loads(first)["claw_free"] is False
+    assert {"splitsteiner.split", "splitsteiner.structure"} <= set(json.loads(loaded))
+    assert not {f"splitsteiner.{name}" for name in
+                ("solver", "generate", "x3c", "oracle")} & set(json.loads(loaded))
+    run = _run([sys.executable, "-c",
+                "import splitsteiner; from splitsteiner import *; "
+                "print([n for n in splitsteiner.__all__ if n not in globals()])"])
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
 def _limit_address_space():

@@ -1,11 +1,13 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from splitsteiner import (
     GeneratorConfig,
     Graph,
     LabeledGraph,
+    SplitPartition,
     SteinerInstance,
     build_labeled_graph,
     corresponding_clique_set,
@@ -17,8 +19,10 @@ from splitsteiner import (
     split_partition,
 )
 from helpers import (
+    adversarial_partition,
     brute_find_star,
     graph_from_masks,
+    reference_find_star,
     set_connected,
     split_corpus,
 )
@@ -112,6 +116,91 @@ def test_star_search_on_pruned_views(corpus7):
                     _assert_star_is_real(g, w, r)
             views += 1
     assert views > 2000
+
+
+def _partition(clique, independent, n_i) -> SplitPartition:
+    n = len(clique) + len(independent)
+    return SplitPartition.from_neighbor_map(n, tuple(sorted(clique)),
+                                            tuple(sorted(independent)), n_i)
+
+
+@st.composite
+def star_views(draw):
+    """A random split partition on shuffled ids, seen through a view that
+    drops some of its clique and independent vertices, so the view's
+    clique need not be maximal."""
+    c = draw(st.integers(1, 7))
+    i = draw(st.integers(0, 9))
+    ids = draw(st.permutations(range(c + i)))
+    clique, independent = ids[:c], ids[c:]
+    n_i = {}
+    for v in clique:
+        xs = draw(st.sets(st.sampled_from(independent))) if independent else ()
+        if xs:
+            n_i[v] = tuple(sorted(xs))
+    sp = _partition(clique, independent, n_i)
+    drop_clique = draw(st.sets(st.sampled_from(clique), max_size=c - 1))
+    drop_indep = draw(st.sets(st.sampled_from(independent))) if independent else ()
+    return restrict_view(sp, drop_clique, drop_indep)
+
+
+def _view_masks(view: SplitPartition) -> list[int]:
+    """Adjacency bitmasks of the graph a view induces, on its vertices
+    listed clique first."""
+    pos = {v: j for j, v in enumerate(view.clique + view.independent)}
+    masks = [0] * len(pos)
+    for a, b in combinations(view.clique, 2):
+        masks[pos[a]] |= 1 << pos[b]
+        masks[pos[b]] |= 1 << pos[a]
+    for v in view.clique:
+        for x in view.indep_neighbors(v):
+            masks[pos[v]] |= 1 << pos[x]
+            masks[pos[x]] |= 1 << pos[v]
+    return masks
+
+
+@settings(max_examples=400, deadline=None)
+@given(star_views())
+# r = 3: the key (3, 4) of center 0 misses clique vertex 1, ahead of
+# center 1 with d_I = 3 >= r; r = 4: the key (5, 6, 7) of 1 misses 0
+@example(_partition((0, 1, 2), (3, 4, 5, 6, 7),
+                    {0: (3, 4), 1: (5, 6, 7), 2: (5,)}))
+# d_I >= r at center 0 with no key at all, and keys after it
+@example(_partition((0, 1, 2), (3, 4, 5, 6, 7, 8),
+                    {0: (3, 4, 5, 6, 7), 1: (3, 8), 2: (4, 5)}))
+# a clique that is not maximal: 4 sees all of it
+@example(restrict_view(_partition((0, 1, 2), (3, 4, 5),
+                                  {0: (3, 4), 1: (4, 5), 2: (4,)}), drop_clique=(2,)))
+def test_star_test_matches_reference(view):
+    """The inclusion-exclusion star test returns the witness, center and
+    leaves, of the union per key it replaced, and finds a star exactly
+    when exhaustive search does."""
+    masks = _view_masks(view)
+    for r in (3, 4, 5):
+        w = find_induced_star(view, r)
+        assert w == reference_find_star(view, r), r
+        assert (w is None) == (brute_find_star(masks, r) is None), r
+
+
+def test_star_test_reads_linear_neighbor_entries(monkeypatch):
+    """On the adversarial K_{1,4}-free family the union per key read
+    about 1.3 k^2 clique-neighbor entries; the test now reads each
+    independent vertex's clique neighbors once."""
+    k = 4000
+    sp = adversarial_partition(k, seed=2)
+    cross = sum(len(sp.indep_neighbors(v)) for v in sp.clique)
+    read = 0
+    clique_neighbors = SplitPartition.clique_neighbors
+
+    def counted(self, x):
+        nonlocal read
+        out = clique_neighbors(self, x)
+        read += len(out)
+        return out
+
+    monkeypatch.setattr(SplitPartition, "clique_neighbors", counted)
+    assert find_induced_star(sp, 4) is None
+    assert 0 < read <= 2 * (len(sp.clique) + cross)
 
 
 def test_restrict_view_recomputes_structure():

@@ -42,6 +42,11 @@ def test_instance_canonicalizes():
     (6, ((1, 2, 7),), "outside ground set"),
     (6, ((0, 1, 2),), "outside ground set"),
     (6, ((1, 2, 3), (3, 2, 1)), "duplicate triple"),
+    # the first bad triple in the given order is the one named
+    (6, ((1, 2, 3), (1, 2), (1, 1, 2)), r"triple \(1, 2\) must"),
+    (6, ((1, 2, 3), (1, 1, 2), (1, 2)), r"triple \(1, 1, 2\) must"),
+    (6, ((3, 2, 9), (0, 1, 2)), "element 9 outside"),
+    (6, ((4, 5, 6), (2, 1, 3), (6, 5, 4), (3, 2, 1)), r"duplicate triple \(1, 2, 3\)"),
 ])
 def test_instance_validation(ground, triples, match):
     with pytest.raises(ValueError, match=match):
