@@ -46,7 +46,3 @@ def __getattr__(name: str):
     value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
     globals()[name] = value  # later reads find it without this hook
     return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

@@ -55,13 +55,7 @@ class X3CInstance:
         dup = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
         if dup.any():
             raise ValueError(f"duplicate triple {tuple(rows[order[np.argmax(dup)]].tolist())}")
-        if (rows == given).all():
-            # each triple is already sorted, as parse_x3c makes them: reorder
-            # the given tuples, since building new ones wakes the cyclic GC
-            triples = tuple(map(self.triples.__getitem__, order.tolist()))
-        else:
-            triples = tuple(map(tuple, rows[order].tolist()))
-        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "triples", tuple(map(tuple, rows[order].tolist())))
 
     @property
     def q(self) -> int:

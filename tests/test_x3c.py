@@ -53,6 +53,13 @@ def test_instance_validation(ground, triples, match):
         X3CInstance(ground, triples)
 
 
+def test_instance_holds_tuples_in_canonical_order():
+    x = X3CInstance(6, ([4, 5, 6], [1, 2, 3]))
+    assert x.triples == ((1, 2, 3), (4, 5, 6))
+    assert x == X3CInstance(6, ((6, 4, 5), (3, 1, 2)))
+    assert hash(x) == hash(X3CInstance(6, ((1, 2, 3), (4, 5, 6))))
+
+
 def test_parse_basics():
     x = parse_x3c(TEXT)
     assert x == SOLVABLE
