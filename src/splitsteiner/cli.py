@@ -80,8 +80,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .structure import find_induced_star
-
     inst = _read_instance(args.input)
     try:
         sp = split_partition(inst.graph)
@@ -99,6 +97,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             }},
         })
         return 0
+    from .structure import find_induced_star  # only a split graph needs it
+
     witnesses = {}
     stars = {name: find_induced_star(sp, r)
              for name, r in (("claw", 3), ("k14", 4), ("k15", 5))}

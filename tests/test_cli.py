@@ -23,18 +23,22 @@ from splitsteiner import (
     serialize_instance,
     split_partition,
 )
+import splitsteiner.__main__ as entry
 from splitsteiner.cli import main
 from helpers import assert_obstruction_is_real, reference_serialize
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-# What the launcher pip writes for `splitsteiner = "splitsteiner.cli:main"`
+# What the launcher pip writes for `splitsteiner = "splitsteiner.__main__:run"`
 # does: call the target with no arguments (argparse reads sys.argv) and
 # hand its return value to sys.exit.
-LAUNCHER = "import sys; from splitsteiner.cli import main; sys.exit(main())"
+LAUNCHER = "import sys; from splitsteiner.__main__ import run; sys.exit(run())"
 
 P3 = "p sstp 3 2 2\ne 1 2\ne 2 3\nt 1\nt 3\n"
 P3_GOLDEN = ('{"alpha_m": null, "regime": "1-split", '
              '"size": 1, "steiner_set": [2], "tree_edges": [[1, 2], [2, 3]]}')
+P3_CHECK = ('{"claw_free": true, "delta_i": 1, "k14_free": true, "k15_free": true, '
+            '"partition": {"clique": [1, 2], "independent": [3]}, "split": true, '
+            '"witnesses": {}}')
 C4 = "p sstp 4 4 2\ne 1 2\ne 2 3\ne 3 4\ne 1 4\nt 1\nt 3\n"
 CLAW = "p sstp 4 3 0\ne 1 2\ne 1 3\ne 1 4\n"
 X3C = "x3c 6 3\nc 1 2 3\nc 2 4 5\nc 4 5 6\n"
@@ -480,24 +484,78 @@ def test_cli_import_leaves_process_pool_out():
     assert run.stdout == "False\n"
 
 
-def test_check_imports_only_its_stages(tmp_path):
-    """`check` loads none of the modules that only other commands run,
-    and a star import still binds every name the package exports."""
-    path = _write(tmp_path, "claw.sstp", CLAW)
+def _check_child_modules(path):
+    """The check JSON of `path` and the modules loaded, from a fresh child."""
     run = _run([sys.executable, "-c",
                 "import json, sys; from splitsteiner.cli import main; "
                 f"code = main(['check', '--input', {path!r}]); "
                 "print(json.dumps(sorted(sys.modules)))"])
     assert run.returncode == 0, run.stderr
     first, loaded = run.stdout.splitlines()
-    assert json.loads(first)["claw_free"] is False
-    assert {"splitsteiner.split", "splitsteiner.structure"} <= set(json.loads(loaded))
+    return json.loads(first), set(json.loads(loaded))
+
+
+def test_check_imports_only_its_stages(tmp_path):
+    """`check` loads none of the modules that only other commands run,
+    the star test only for a split graph, and a star import still binds
+    every name the package exports."""
+    payload, loaded = _check_child_modules(_write(tmp_path, "claw.sstp", CLAW))
+    assert payload["claw_free"] is False
+    assert {"splitsteiner.split", "splitsteiner.structure"} <= loaded
     assert not {f"splitsteiner.{name}" for name in
-                ("solver", "generate", "x3c", "oracle")} & set(json.loads(loaded))
+                ("solver", "generate", "x3c", "oracle")} & loaded
+    payload, loaded = _check_child_modules(_write(tmp_path, "c4.sstp", C4))
+    assert payload["split"] is False
+    assert "splitsteiner.split" in loaded and "splitsteiner.structure" not in loaded
     run = _run([sys.executable, "-c",
                 "import splitsteiner; from splitsteiner import *; "
                 "print([n for n in splitsteiner.__all__ if n not in globals()])"])
     assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+
+
+# Calls run() in a fresh child, with the collector on or off before the
+# call, and prints, after the check JSON: the exit code, the frozen
+# objects, whether the collector is on and the collections run meanwhile.
+_ENTRY_PROBE = """import gc, json, sys
+from splitsteiner.__main__ import run
+if sys.argv[2] == "off":
+    gc.disable()
+before = sum(s["collections"] for s in gc.get_stats())
+code = run(["check", "--input", sys.argv[1]])
+after = sum(s["collections"] for s in gc.get_stats())
+print(json.dumps([code, gc.get_freeze_count(), gc.isenabled(), after - before]))
+"""
+
+
+@pytest.mark.parametrize("collector", ["on", "off"])
+def test_entry_freezes_the_import_without_collecting(tmp_path, collector):
+    """run() imports the CLI with the collector held off, freezes what
+    the import made, and gives the collector back as it found it; the
+    same import with the collector on runs about 30 collections."""
+    path = _write(tmp_path, "p3.sstp", P3)
+    child = _run([sys.executable, "-c", _ENTRY_PROBE, path, collector])
+    assert child.returncode == 0, child.stderr
+    out, probe = child.stdout.splitlines()
+    assert out == P3_CHECK
+    code, frozen, enabled, collections = json.loads(probe)
+    assert code == 0 and frozen > 10_000
+    assert enabled is (collector == "on")
+    assert collections <= 3
+
+
+def test_cli_import_and_main_freeze_nothing(tmp_path):
+    """Only the process entry freezes: importing the CLI and calling
+    main, as the tests do in process, leave the collector alone."""
+    path = _write(tmp_path, "p3.sstp", P3)
+    child = _run([sys.executable, "-c",
+                  "import gc, sys; import splitsteiner.cli; "
+                  "print(gc.get_freeze_count(), gc.isenabled()); "
+                  f"splitsteiner.cli.main(['check', '--input', {path!r}]); "
+                  "print(gc.get_freeze_count(), gc.isenabled())"])
+    assert child.returncode == 0, child.stderr
+    lines = child.stdout.splitlines()
+    assert lines[0] == lines[2] == "0 True"
+    assert lines[1] == P3_CHECK
 
 
 def _limit_address_space():
@@ -529,9 +587,9 @@ def test_console_script_declared():
     tomllib = pytest.importorskip("tomllib")
     with PYPROJECT.open("rb") as f:
         scripts = tomllib.load(f)["project"]["scripts"]
-    assert scripts.get("splitsteiner") == "splitsteiner.cli:main"
+    assert scripts.get("splitsteiner") == "splitsteiner.__main__:run"
     module, _, attr = scripts["splitsteiner"].partition(":")
-    assert getattr(importlib.import_module(module), attr) is main
+    assert getattr(importlib.import_module(module), attr) is entry.run
 
 
 @pytest.mark.skipif(shutil.which("splitsteiner") is None,
