@@ -67,6 +67,7 @@ higher vertices, so a writer holds one row's text, not the file's.
 from __future__ import annotations
 
 import io
+import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import BinaryIO, TextIO
@@ -165,7 +166,7 @@ class SteinerInstance:
 
     def __post_init__(self):
         seen = set()
-        for t in self.terminals:
+        for t in map(operator.index, self.terminals):  # ints, not floats or text
             if not (0 <= t < self.graph.n):
                 raise ValueError(f"terminal {t} out of range")
             if t in seen:

@@ -12,15 +12,17 @@ j-1, the l-th triple (0-based) is vertex 3q + l.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import BinaryIO
 
 import numpy as np
 
 from .errors import X3CParseError
 from .graph import Graph
-from .sstp import MAX_DIGITS, SteinerInstance, _Chunk, _utf8_chunks
+from .sstp import MAX_DIGITS, SteinerInstance, _Chunk, _first_repeat, _utf8_chunks
 
 # uncovered ground elements named in reduce_x3c's error
 _LISTED = 10
@@ -35,39 +37,72 @@ class X3CInstance:
     triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        g = self.ground_size
+        g, triples = self.ground_size, self.triples
         if g < 3 or g % 3 != 0:
             raise ValueError(f"ground size must be a positive multiple of 3, got {g}")
-        # one array pass up to the first triple not of length 3; the first
-        # bad triple, in the given order, then raises its own error
-        sizes = np.fromiter(map(len, self.triples), dtype=np.int64,
-                            count=len(self.triples))
-        ragged = np.flatnonzero(sizes != 3)
-        head = int(ragged[0]) if ragged.size else sizes.size
-        given = np.fromiter(chain.from_iterable(self.triples[:head]), dtype=np.int64,
-                            count=3 * head).reshape(head, 3)
-        rows = np.sort(given, axis=1)
-        bad = np.flatnonzero((rows[:, 0] == rows[:, 1]) | (rows[:, 1] == rows[:, 2])
-                             | (rows[:, 0] < 1) | (rows[:, 2] > g))
-        if bad.size or head < sizes.size:
-            _check_triple(self.triples[bad[0] if bad.size else head], g)
-        order = np.lexsort(rows.T[::-1])
-        dup = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
-        if dup.any():
-            raise ValueError(f"duplicate triple {tuple(rows[order[np.argmax(dup)]].tolist())}")
-        object.__setattr__(self, "triples", tuple(map(tuple, rows[order].tolist())))
+        # the rows before the first triple that is not 3 integers
+        head = len(triples)
+        kinds = set(map(type, chain.from_iterable(triples)))
+        if set(map(len, triples)) - {3} or not all(hasattr(k, "__index__") for k in kinds):
+            head = next(i for i, t in enumerate(triples)
+                        if len(t) != 3 or not all(hasattr(e, "__index__") for e in t))
+        elements = map(operator.index, chain.from_iterable(triples[:head]))
+        rows = np.fromiter(elements, dtype=np.int64, count=3 * head).reshape(head, 3)
+        if (fault := _first_fault(g, rows)) is not None:
+            raise ValueError(fault[1])
+        if head < len(triples):
+            raise ValueError(f"triple {tuple(triples[head])} must be 3 integers")
+        key = np.sort(rows, axis=1)
+        order = np.lexsort(key.T[::-1])
+        object.__setattr__(self, "triples", tuple(map(tuple, key[order].tolist())))
 
     @property
     def q(self) -> int:
         return self.ground_size // 3
 
 
-def _check_triple(t: tuple[int, ...], ground_size: int) -> None:
-    if len(t) != 3 or len(set(t)) != 3:
-        raise ValueError(f"triple {t} must have exactly 3 distinct elements")
-    for e in t:
-        if not 1 <= e <= ground_size:
-            raise ValueError(f"element {e} outside ground set 1..{ground_size}")
+def _first_fault(ground: int, rows: np.ndarray) -> tuple[int, str] | None:
+    """(index, message) of the first of the (n, 3) int64 rows, in order,
+    with a repeated element, an element outside 1..ground, or the
+    elements of an earlier row; None if there is none."""
+    key = np.sort(rows, axis=1)
+    bad = np.flatnonzero((key[:, 0] == key[:, 1]) | (key[:, 1] == key[:, 2])
+                         | (key[:, 0] < 1) | (key[:, 2] > ground))
+    head = int(bad[0]) if bad.size else len(rows)
+    # each sorted row as one item of 24 bytes, equal iff the rows are
+    if (repeat := _first_repeat([key[:head].view("V24")[:, 0]])) is not None:
+        return repeat[1], f"duplicate triple {tuple(key[repeat[1]].tolist())}"
+    if head == len(rows):
+        return None
+    t = tuple(rows[head].tolist())
+    outside = [e for e in t if not 1 <= e <= ground]
+    return head, (f"triple {t} has repeated elements" if len(set(t)) != 3
+                  else f"element {outside[0]} outside ground set 1..{ground}")
+
+
+def _check_line(ck: _Chunk, first: int, size: int, tag: int, line: int,
+                header_read: bool) -> tuple[int, int]:
+    """(ground size, triple count) of a header read first; raises the
+    X3CParseError of any other line that is not a triple of integers."""
+    if tag == ord("c"):
+        problem = ("triple line before header" if not header_read else
+                   "triple line must be 'c <a> <b> <c>'" if size != 4 else
+                   "non-integer element")
+    elif ck.text(first) != "x3c":
+        problem = f"unrecognized line {ck.text(first, first + size - 1)!r}"
+    elif header_read:
+        problem = "duplicate header"
+    elif size != 3:
+        problem = "header must be 'x3c <3q> <n>'"
+    elif not ck.is_int[first + 1:first + 3].all():
+        negative = re.fullmatch(f"-[0-9]{{1,{MAX_DIGITS}}}", ck.text(first + 2))
+        problem = "negative triple count" if negative else "non-integer header field"
+    else:
+        ground, count = ck.value[first + 1:first + 3].tolist()
+        if ground >= 3 and ground % 3 == 0:
+            return ground, count
+        problem = f"ground size {ground} is not a positive multiple of 3"
+    raise X3CParseError(problem, line=line)
 
 
 def parse_x3c(source: str | bytes | BinaryIO) -> X3CInstance:
@@ -75,67 +110,46 @@ def parse_x3c(source: str | bytes | BinaryIO) -> X3CInstance:
     mode: `x3c <3q> <n>` then n lines `c <a> <b> <c>`, 1-indexed; blank
     lines and `#` comments are skipped. The .sstp reader (see sstp) reads
     and tokenizes it a chunk at a time, so its grammar is that of .sstp,
-    and bytes that are not UTF-8 raise before any X3CParseError."""
+    and bytes that are not UTF-8 raise before any X3CParseError. Only the
+    grammar is checked here; X3CInstance checks the triples, once."""
     count: int | None = None  # of triples, once the header is read
-    triples: set[tuple[int, ...]] = set()
     ground = lines_before = 0
+    fault: X3CParseError | None = None
+    rows = []  # of the triple lines: their three elements, then their line number
     chunks = _utf8_chunks(source)
     try:
         for data in chunks:
             ck = _Chunk(data, lines_before)
             lines_before = ck.lines_after
-            for first, size, tag, lineno in zip(*(col.tolist() for col in ck.statements())):
-                if tag == ord("c"):
-                    if count is None:
-                        raise X3CParseError("triple line before header", line=lineno)
-                    if size != 4:
-                        raise X3CParseError("triple line must be 'c <a> <b> <c>'",
-                                            line=lineno)
-                    if not ck.is_int[first + 1:first + 4].all():
-                        raise X3CParseError("non-integer element", line=lineno)
-                    elems = tuple(ck.value[first + 1:first + 4].tolist())
-                    if len(set(elems)) != 3:
-                        raise X3CParseError(f"triple {elems} has repeated elements",
-                                            line=lineno)
-                    for e in elems:
-                        if not 1 <= e <= ground:
-                            raise X3CParseError(
-                                f"element {e} outside ground set 1..{ground}", line=lineno)
-                    key = tuple(sorted(elems))
-                    if key in triples:
-                        raise X3CParseError(f"duplicate triple {key}", line=lineno)
-                    triples.add(key)
-                elif ck.text(first) == "x3c":
-                    if count is not None:
-                        raise X3CParseError("duplicate header", line=lineno)
-                    if size != 3:
-                        raise X3CParseError("header must be 'x3c <3q> <n>'", line=lineno)
-                    if not ck.is_int[first + 1:first + 3].all():
-                        # '-' and then what would be a number
-                        digits = ck.text(first + 2)
-                        if (digits[:1] == "-" and len(digits) <= MAX_DIGITS + 1
-                                and digits[1:].isascii() and digits[1:].isdigit()):
-                            raise X3CParseError("negative triple count", line=lineno)
-                        raise X3CParseError("non-integer header field", line=lineno)
-                    ground, count = ck.value[first + 1:first + 3].tolist()
-                    if ground < 3 or ground % 3 != 0:
-                        raise X3CParseError(
-                            f"ground size {ground} is not a positive multiple of 3",
-                            line=lineno)
-                else:
-                    raise X3CParseError(
-                        f"unrecognized line {ck.text(first, first + size - 1)!r}",
-                        line=lineno)
+            first, size, tag, line = cols = ck.statements()
+            while True:  # to the next line that is not a triple: the header or a fault
+                cells = first[:, None] + np.arange(1, 4)  # a triple line's elements
+                ok = ((tag == ord("c")) & (size == 4) & (count is not None)
+                      & ck.is_int.take(cells, mode="clip").all(axis=1))
+                stop = ok.size if ok.all() else int(np.argmin(ok))
+                rows.append(np.column_stack((ck.value.take(cells[:stop]), line[:stop])))
+                if stop == ok.size:
+                    break
+                ground, count = _check_line(ck, *(int(c[stop]) for c in cols),
+                                            count is not None)
+                first, size, tag, line = cols = tuple(c[stop + 1:] for c in cols)
             del data, ck  # free this chunk before the next is read
-    except X3CParseError:
+    except X3CParseError as exc:
+        fault = exc
         for _ in chunks:  # a later byte that is not UTF-8 is reported first
             pass
-        raise
     if count is None:
-        raise X3CParseError("missing 'x3c' header")
-    if len(triples) != count:
-        raise X3CParseError(f"header declares {count} triples, found {len(triples)}")
-    return X3CInstance(ground_size=ground, triples=tuple(triples))  # type: ignore[arg-type]
+        raise fault or X3CParseError("missing 'x3c' header")
+    given = np.concatenate(rows)
+    try:
+        x = X3CInstance(ground, given[:, :3].tolist())  # type: ignore[arg-type]
+    except ValueError:  # the bad triple comes before any fault of the grammar
+        i, message = _first_fault(ground, given[:, :3])
+        raise X3CParseError(message, line=int(given[i, 3])) from None
+    if fault is not None or len(x.triples) != count:
+        raise fault or X3CParseError(
+            f"header declares {count} triples, found {len(x.triples)}")
+    return x
 
 
 def serialize_x3c(x: X3CInstance) -> str:
@@ -148,28 +162,22 @@ def reduce_x3c(x: X3CInstance) -> tuple[SteinerInstance, int]:
     """Steiner instance whose minimum Steiner set has size q iff x has an
     exact cover. Rejects instances with an uncovered ground element,
     since those reduce to a disconnected graph."""
-    covered: set[int] = set()
-    for t in x.triples:
-        covered.update(t)
-    uncovered = x.ground_size - len(covered)
+    rows = np.array(x.triples, dtype=np.int64).reshape(-1, 3)
+    covered = np.unique(rows)
+    uncovered = x.ground_size - covered.size
     if uncovered:
         # the first few, so the work is bounded by the triples, not the header
-        listed = list(islice((e for e in range(1, x.ground_size + 1) if e not in covered),
-                             _LISTED))
+        low = np.arange(1, min(x.ground_size, covered.size + _LISTED) + 1)
+        listed = low[~np.isin(low, covered)][:_LISTED].tolist()
         more = f" and {uncovered - _LISTED} more" if uncovered > _LISTED else ""
-        raise ValueError(
-            f"ground elements {listed}{more} appear in no triple; "
-            "the reduced graph would be disconnected")
-    nz = x.ground_size
-    n = nz + len(x.triples)
-    membership = np.array([(e - 1, nz + l) for l, tr in enumerate(x.triples) for e in tr],
-                          dtype=np.int64).reshape(-1, 2)
+        raise ValueError(f"ground elements {listed}{more} appear in no triple; "
+                         "the reduced graph would be disconnected")
+    nz, n = x.ground_size, x.ground_size + len(x.triples)
+    membership = np.column_stack((rows.ravel() - 1, np.arange(nz, n).repeat(3)))
     # the triples form the clique, whose pairs the split layout implies
-    clique = np.zeros(n, dtype=bool)
-    clique[nz:] = True
-    inst = SteinerInstance(graph=Graph.from_cross_edges(clique, [membership]),
-                           terminals=tuple(range(nz)))
-    return inst, x.q
+    clique = np.arange(n) >= nz
+    return SteinerInstance(graph=Graph.from_cross_edges(clique, [membership]),
+                           terminals=tuple(range(nz))), x.q
 
 
 def solve_x3c_bruteforce(x: X3CInstance) -> tuple[tuple[int, int, int], ...] | None:
@@ -181,26 +189,17 @@ def solve_x3c_bruteforce(x: X3CInstance) -> tuple[tuple[int, int, int], ...] | N
     if 3 * len(x.triples) < x.ground_size:
         # too few triples to cover; also bounds the work below by the triples
         return None
-    by_element: dict[int, list[int]] = {e: [] for e in range(1, x.ground_size + 1)}
-    for i, t in enumerate(x.triples):
-        for e in t:
-            by_element[e].append(i)
 
-    chosen: list[int] = []
-
-    def extend(covered: set[int]) -> bool:
+    def cover(covered: frozenset[int]) -> tuple[tuple[int, int, int], ...] | None:
         if len(covered) == x.ground_size:
-            return True
-        lowest = min(e for e in range(1, x.ground_size + 1) if e not in covered)
-        for i in by_element[lowest]:
-            t = x.triples[i]
-            if covered.isdisjoint(t):
-                chosen.append(i)
-                if extend(covered | set(t)):
-                    return True
-                chosen.pop()
-        return False
+            return ()
+        lowest = min(set(range(1, x.ground_size + 1)) - covered)
+        for t in x.triples:
+            if lowest in t and covered.isdisjoint(t):
+                rest = cover(covered | set(t))
+                if rest is not None:
+                    return (t, *rest)
+        return None
 
-    if extend(set()):
-        return tuple(x.triples[i] for i in sorted(chosen))
-    return None
+    # each triple chosen holds the lowest element left, so they come sorted
+    return cover(frozenset())

@@ -232,6 +232,12 @@ def test_instance_validates_terminals():
         SteinerInstance(graph=g, terminals=(0, 0))
     inst = SteinerInstance(graph=g, terminals=(1, 0))
     assert inst.terminals == (0, 1)  # stored sorted
+    for terminals in ((0.5, 1), (1.0, 0), ("1", 0)):
+        with pytest.raises(TypeError):
+            SteinerInstance(graph=g, terminals=terminals)
+    inst = SteinerInstance(graph=g, terminals=(np.int64(1), np.int32(0)))
+    assert inst.terminals == (0, 1)
+    assert all(type(t) is int for t in inst.terminals)
 
 
 @st.composite

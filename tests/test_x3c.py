@@ -2,8 +2,10 @@ import io
 import time
 import tracemalloc
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from splitsteiner import (
     Graph,
@@ -37,16 +39,21 @@ def test_instance_canonicalizes():
 @pytest.mark.parametrize("ground, triples, match", [
     (4, (), "multiple of 3"),
     (0, (), "multiple of 3"),
-    (6, ((1, 2, 2),), "distinct elements"),
-    (6, ((1, 2),), "distinct elements"),
+    (6, ((1, 2, 2),), r"triple \(1, 2, 2\) has repeated elements"),
+    (6, ((1, 2),), r"triple \(1, 2\) must be 3 integers"),
     (6, ((1, 2, 7),), "outside ground set"),
     (6, ((0, 1, 2),), "outside ground set"),
     (6, ((1, 2, 3), (3, 2, 1)), "duplicate triple"),
     # the first bad triple in the given order is the one named
     (6, ((1, 2, 3), (1, 2), (1, 1, 2)), r"triple \(1, 2\) must"),
-    (6, ((1, 2, 3), (1, 1, 2), (1, 2)), r"triple \(1, 1, 2\) must"),
+    (6, ((1, 2, 3), (1, 1, 2), (1, 2)), r"triple \(1, 1, 2\) has repeated"),
     (6, ((3, 2, 9), (0, 1, 2)), "element 9 outside"),
-    (6, ((4, 5, 6), (2, 1, 3), (6, 5, 4), (3, 2, 1)), r"duplicate triple \(1, 2, 3\)"),
+    # a duplicate is named at its first later copy, as parse_x3c names it
+    (6, ((4, 5, 6), (2, 1, 3), (6, 5, 4), (3, 2, 1)), r"duplicate triple \(4, 5, 6\)"),
+    (6, ((1, 2, 3.9), (4, 5, 6)), r"triple \(1, 2, 3.9\) must be 3 integers"),
+    (6, (("1", 2, 3),), "must be 3 integers"),
+    (6, ((1, 1, 2), (1, 2, 3.9)), "repeated elements"),
+    (6, ((1, 2, 3.9), (1, 1, 2)), "must be 3 integers"),
 ])
 def test_instance_validation(ground, triples, match):
     with pytest.raises(ValueError, match=match):
@@ -97,6 +104,68 @@ def test_parse_errors(text, match, line):
     with pytest.raises(X3CParseError, match=match) as exc:
         parse_x3c(text)
     assert exc.value.line == line
+
+
+@st.composite
+def planted_triples(draw):
+    """A ground size of at most 12 and triples drawn on it, with faults
+    planted at random places: a repeated element, an element outside the
+    ground set, and a copy of an earlier triple in any element order."""
+    ground = draw(st.sampled_from((3, 6, 9, 12)))
+    triple = st.lists(st.integers(1, ground), min_size=3, max_size=3, unique=True)
+    triples = [tuple(t) for t in draw(st.lists(triple, max_size=8))]
+    for kind in draw(st.lists(st.sampled_from(("repeat", "range", "duplicate")),
+                              max_size=3)):
+        t, k = draw(triple), draw(st.integers(0, 2))
+        if kind == "repeat":
+            t[k] = t[(k + 1) % 3]
+        elif kind == "range":
+            t[k] = draw(st.sampled_from((0, ground + 1)) | st.integers(1, 10**18 - 1))
+        elif triples:
+            t = draw(st.permutations(draw(st.sampled_from(triples))))
+        triples.insert(draw(st.integers(0, len(triples))), tuple(t))
+    return ground, triples
+
+
+def _first_bad_triple(ground, triples):
+    """(index, message) of the first triple, in the given order, with a
+    repeated element, an element outside 1..ground, or the elements of an
+    earlier triple; None if there is none."""
+    seen = set()
+    for i, t in enumerate(triples):
+        outside = [e for e in t if not 1 <= e <= ground]
+        if len(set(t)) != 3:
+            return i, f"triple {t} has repeated elements"
+        if outside:
+            return i, f"element {outside[0]} outside ground set 1..{ground}"
+        if frozenset(t) in seen:
+            return i, f"duplicate triple {tuple(sorted(t))}"
+        seen.add(frozenset(t))
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_triples())
+@example((6, [(4, 5, 6), (2, 1, 3), (6, 5, 4), (3, 2, 1)]))
+@example((6, [(1, 2, 2), (1, 2, 9)]))
+def test_parser_and_constructor_report_the_same_first_bad_triple(case):
+    """The text serialize_x3c writes for the triples makes parse_x3c raise
+    what X3CInstance raises on them, at line 2 + the index of the first
+    bad triple in file order."""
+    ground, triples = case
+    text = serialize_x3c(SimpleNamespace(ground_size=ground, triples=triples))
+    fault = _first_bad_triple(ground, triples)
+    if fault is None:
+        assert parse_x3c(text) == X3CInstance(ground, tuple(triples))
+        return
+    i, message = fault
+    with pytest.raises(ValueError) as built:
+        X3CInstance(ground, tuple(triples))
+    assert str(built.value) == message
+    with pytest.raises(X3CParseError) as parsed:
+        parse_x3c(text)
+    assert parsed.value.line == 2 + i
+    assert str(parsed.value) == f"line {2 + i}: {message}"
 
 
 def test_parse_missing_header_and_count():
