@@ -22,7 +22,7 @@ line by readline (see _utf8_chunks). A \\n always ends a line and is
 never part of a \\r\\n pair's first half or of a multi-byte UTF-8
 sequence, so no line, token or character spans two chunks. A chunk is
 tokenized with array operations (see _Chunk): bytes are classed by range
-comparisons, token bounds come from one flatnonzero, and each number is
+comparisons, token bounds come from one nonzero, and each number is
 read from one unaligned little-endian 8-byte word per 8 digits, whose
 digits are tested and joined by integer arithmetic on the whole word.
 The chunk is then checked line by line; only a row of ids per edge, in
@@ -38,25 +38,26 @@ rest, are kept. Once no bit is set twice and no cross row repeats, the
 graph is simple: the degree identity, which holds for a multigraph too,
 leaves no row between two vertices outside the clique and makes the
 clique complete. It is stored in the split layout (see graph), from its
-cross rows alone. Any other graph
-gets its full CSR from one sort of one int32 key per edge and
-orientation (int64 once n**2 >= 2**31), which also finds a repeated
-edge. When a repeat is found, the rows, each viewed as one item of 4, 8
-or 16 bytes, are sorted once more to find the earliest repeated row,
-and the source is read again, up to that row, for its line number.
+cross rows alone. Any other graph has its rows, each viewed as one item
+of 4, 8 or 16 bytes, sorted once to find a repeated row, and then gets
+its full CSR from one sort of one int32 key per edge and orientation
+(int64 once n**2 >= 2**31). Only when a row repeats is the source read
+again, up to the earliest repeated row, for its line number.
 
 Parsing an open file therefore holds one chunk of text (CHUNK_BYTES
-bytes and the rest of a line) and its temporaries plus the rows, about 4
-bytes per edge while n <= 65,536, and never the file's bytes. A split
-graph adds k**2 / 8 bytes of bits, where k(k - 1) <= 2m, and its cross
-rows: on 0.5M edges the parse peaks at about 11 bytes per edge under
-tracemalloc, most of it the last chunk's tokenizing. Any other graph
-adds the sort keys and a mask over them: about 14 bytes per edge in all
-while n < 46,341 and about 30 from there on (int64 keys, then the int32
-indices written beside them). A str or bytes source adds its own UTF-8
-bytes, and a file that cannot seek is read whole first. Nothing is sized
-by the header's counts. The .x3c reader (see x3c) tokenizes its chunks
-with the same code.
+bytes and the rest of a line) and its temporaries, about 12 bytes per
+chunk byte, plus the rows, about 4 bytes per edge while n <= 65,536,
+and never the file's bytes. A split graph adds k**2 / 8 bytes of bits,
+where k(k - 1) <= 2m, and its cross rows: on 0.5M edges the parse peaks
+at about 6 bytes per edge under tracemalloc, two thirds of it the rows
+and the rest the last chunk's tokenizing. Any other graph adds the sort
+keys and a mask over them: about 14 bytes per edge in all while n <
+46,341 and about 30 from there on (int64 keys, then the int32 indices
+written beside them); the rows' own sort, done first, takes 4 bytes per
+edge. A str or bytes source adds its own UTF-8 bytes, and a file that
+cannot seek is read whole first. Nothing is sized by the header's
+counts. The .x3c reader (see x3c) tokenizes its chunks with the same
+code.
 
 Internally vertices are 0-based. Serialization is canonical: edges sorted
 lexicographically, terminals ascending, no comments. It is written a
@@ -79,8 +80,8 @@ from .graph import Graph, RepeatedEdgeError, _csr, is_connected
 from .split import _degree_test
 
 MAX_DIGITS = 18  # 10**18 - 1 < 2**63
-# bytes per chunk of the parse, chosen by measurement (BENCH_sstp_chunked.json)
-CHUNK_BYTES = 1 << 18
+# bytes per chunk of the parse, chosen by measurement (BENCH_chunk_size.json)
+CHUNK_BYTES = 1 << 16
 
 # Tokens are decoded 8 bytes at a time from little-endian int64 words, so
 # the first byte of a word is its lowest-order byte; additions wrap and
@@ -115,7 +116,7 @@ def _decode(words: np.ndarray, end: np.ndarray, length: np.ndarray) -> tuple:
     """
     # indexing, not take: take copies a strided array whole first
     w = words[np.maximum(end - 8, 0)]
-    short = int(np.searchsorted(end, 8))
+    short = int(end.searchsorted(8))
     if short:
         w[:short] <<= 8 * (8 - end[:short])
     top = _TOP.take(length, mode="clip")
@@ -221,7 +222,7 @@ def _utf8_chunks(source: str | bytes | BinaryIO) -> Iterator[np.ndarray]:
         if not chunk.endswith(b"\n"):
             chunk += source.readline()
         try:
-            if strict:
+            if strict and not chunk.isascii():  # ASCII is valid UTF-8
                 str(chunk, "utf-8")
         except UnicodeDecodeError as exc:
             raise _FileDecodeError(exc, offset) from None
@@ -237,7 +238,7 @@ class _Chunk:
     Bytes are classed by range: whitespace is 9-13 and 28-32, line breaks
     10-13 and 28-30, and a \\n right after \\r ends no line of its own.
     Only the bytes below 32 are listed and classed one by one; a byte above
-    31 is whitespace iff it is a space. Token bounds come from flatnonzero
+    31 is whitespace iff it is a space. Token bounds come from nonzero
     over one bool per byte that marks whitespace. start and end, is_int
     and value (int64, the token's number where is_int) hold one entry per
     token; _decode reads value from one word per 8 digits. statements()
@@ -253,23 +254,19 @@ class _Chunk:
         self.line0 = line0
         # offsets within the chunk: int32 unless one line is 2 GiB long
         offset = _index_dtype(data.size)
-        low = np.flatnonzero(data < 32)
+        low = (data < 32).nonzero()[0]
         byte = data.take(low)
-        breaks = low[(byte - 10 < 4) | (byte - 28 < 3)]
-        # with mode="clip" a \n at byte 0 is compared with itself, not
-        # with the chunk's last byte
-        crlf = data.take(breaks) == ord("\n")
-        crlf[crlf] = data.take(breaks[crlf] - 1, mode="clip") == ord("\r")
-        # a copy: holding the masked result itself raised the peak RSS of
-        # a CLI run on small files by about 0.3 MB (allocation layout)
-        self.breaks = breaks[~crlf].astype(offset)
+        brk = (byte - 10 < 4) | (byte - 28 < 3)
+        # a \n right after a \r (the control byte listed just before it)
+        brk[1:] &= (byte[1:] != 10) | (byte[:-1] != 13) | (low[1:] - low[:-1] != 1)
+        self.breaks = low[brk].astype(offset)
         self.lines_after = line0 + self.breaks.size
         space = np.empty(data.size + 2, dtype=bool)
         space[0] = space[-1] = True
         np.less_equal(data, 32, out=space[1:-1])
         space[low[(byte < 9) | (byte - 14 < 14)] + 1] = False
-        del low, byte, breaks, crlf
-        bounds = np.flatnonzero(space[1:] != space[:-1])
+        del low, byte, brk
+        bounds = (space[1:] != space[:-1]).nonzero()[0]
         del space
         self.start = bounds[0::2].astype(offset)
         self.end = bounds[1::2].astype(offset)
@@ -279,7 +276,7 @@ class _Chunk:
         self.is_int, self.value = _decode(words, self.end, length)
         self.is_int &= length <= MAX_DIGITS
         # tokens of 9 to 18 digits: 8 more digits from each earlier word
-        more = np.flatnonzero(self.is_int & (length > 8))
+        more = (self.is_int & (length > 8)).nonzero()[0]
         for k in (1, 2):
             if not more.size:
                 break
@@ -300,10 +297,10 @@ class _Chunk:
         token, else 0. A line's tokens are those between two breaks."""
         # cut[i] tokens lie before line i: 0, then one count per break
         cut = np.zeros(self.breaks.size + 2, dtype=self.start.dtype)
-        cut[1:-1] = np.searchsorted(self.start, self.breaks)
+        cut[1:-1] = self.start.searchsorted(self.breaks)
         cut[-1] = self.start.size
-        count = np.diff(cut)
-        line = np.flatnonzero(count)
+        count = cut[1:] - cut[:-1]
+        line = count.nonzero()[0]
         first = cut.take(line)
         count = count.take(line)
         lead = self.data.take(self.start.take(first))
@@ -349,10 +346,14 @@ def _first_repeat(keys: list[np.ndarray]) -> tuple[np.ndarray, int] | None:
     """(key as a one-item array, index) of the earliest item whose key an
     earlier item has, from keys in pieces, items counted across the
     pieces in order. One sort of the joined keys finds every repeated
-    key; then only the items with one are gathered."""
+    key, with neighbours compared a block at a time, so that only the
+    joined keys and the repeated ones grow with the items; then only the
+    items with one are gathered."""
     joined = np.concatenate(keys)
     joined.sort()
-    repeated = joined[1:][joined[1:] == joined[:-1]]
+    step = 1 << 16
+    blocks = (joined[i:i + step + 1] for i in range(0, max(joined.size, 1), step))
+    repeated = np.concatenate([b[1:][b[1:] == b[:-1]] for b in blocks])
     del joined
     if not repeated.size:
         return None
@@ -375,9 +376,10 @@ def _edge_repeat(pairs: list[np.ndarray],
     any; its line is found by reading the source again (reread gives its
     chunks afresh) and counting the well-formed edge lines."""
     # each row (u, v) as one item, equal iff the rows are: its bytes as
-    # one unsigned integer for ids of 2 or 4 bytes, else as 16 bytes; no
-    # key like u * n + v is computed, so none can overflow
-    view = {2: np.uint32, 4: np.uint64}.get(pairs[0].itemsize, "V16")
+    # one integer for ids of 2 or 4 bytes (int32 shares the sort code of
+    # the CSR's keys), else as 16 bytes; no key like u * n + v is
+    # computed, so none can overflow
+    view = {2: np.int32, 4: np.int64}.get(pairs[0].itemsize, "V16")
     found = _first_repeat([p.view(view)[:, 0] for p in pairs])
     if found is None:
         return None
@@ -402,43 +404,52 @@ def _scan(ck: _Chunk, first: np.ndarray, count: np.ndarray, tag: np.ndarray,
     line-by-line checks but without the duplicate test. Returns the
     0-based ids and the line numbers of the well-formed edge lines and
     terminal lines, then the error of the first bad line or None. Ids
-    are of the narrowest dtype that holds n - 1."""
-    fault = np.where(tag == ord("p"), DUPLICATE_HEADER, UNRECOGNIZED).astype(np.int8)
+    are of the narrowest dtype that holds n - 1. Fault codes are worked
+    out only for a chunk with a bad line."""
     id_type = _id_dtype(n)
-    line_type = _index_dtype(ck.lines_after + 1)
 
     def values(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(is_int, value) of the k-th token of each row, read within bounds."""
         tok = first.take(rows) + k
         return ck.is_int.take(tok, mode="clip"), ck.value.take(tok, mode="clip")
 
-    e = np.flatnonzero(tag == ord("e"))
+    e = (tag == ord("e")).nonzero()[0]
+    e_count = count.take(e)
     u_int, u = values(e, 1)
     v_int, v = values(e, 2)
-    ok = (count.take(e) == 3) & u_int & v_int & (u >= 1) & (u < v) & (v <= n)
-    fault[e] = 0
+    ok = (e_count == 3) & u_int & v_int & (u >= 1) & (u < v) & (v <= n)
+    e_fault = None
     if not ok.all():
-        fault[e] = np.select(
-            [count[e] != 3, ~u_int, ~v_int, u == v,
+        e_fault = np.select(
+            [e_count != 3, ~u_int, ~v_int, u == v,
              (u < 1) | (u > n) | (v < 1) | (v > n), u > v],
             [BAD_EDGE, U_NOT_INT, V_NOT_INT, SELF_LOOP, EDGE_RANGE, EDGE_ORDER], 0)
-        u, v, e = u[ok], v[ok], e[ok]
-    pair = np.empty((e.size, 2), dtype=id_type)
+        u, v = u[ok], v[ok]
+    pair = np.empty((u.size, 2), dtype=id_type)
     pair[:, 0], pair[:, 1] = u, v
     pair -= 1
-    rows = [pair, line.take(e).astype(line_type)]
+    rows = [pair, line.take(e if e_fault is None else e[ok])]
 
-    r = np.flatnonzero(tag == ord("t"))
-    x_int, x = values(r, 1)
-    fault[r] = np.select([count[r] != 2, ~x_int, (x < 1) | (x > n)],
-                         [BAD_TERMINAL, T_NOT_INT, TERMINAL_RANGE], 0)
-    ok = fault[r] == 0
-    rows += [(x[ok] - 1).astype(id_type), line[r[ok]].astype(line_type)]
+    r = (tag == ord("t")).nonzero()[0]
+    t_fault = None
+    x, r_ok = np.empty(0, dtype=np.int64), r
+    if r.size:  # most chunks hold no terminal line
+        t_count = count.take(r)
+        x_int, x = values(r, 1)
+        ok = (t_count == 2) & x_int & (x >= 1) & (x <= n)
+        if not ok.all():
+            t_fault = np.select([t_count != 2, ~x_int, (x < 1) | (x > n)],
+                                [BAD_TERMINAL, T_NOT_INT, TERMINAL_RANGE], 0)
+            x, r_ok = x[ok], r[ok]
+    rows += [(x - 1).astype(id_type),
+             line.take(r_ok).astype(_index_dtype(ck.lines_after + 1))]
 
-    bad = np.flatnonzero(fault)
-    if not bad.size:
+    if e_fault is None and t_fault is None and e.size + r.size == tag.size:
         return *rows, None
-    i = bad[0]
+    fault = np.where(tag == ord("p"), DUPLICATE_HEADER, UNRECOGNIZED).astype(np.int8)
+    fault[e] = 0 if e_fault is None else e_fault
+    fault[r] = 0 if t_fault is None else t_fault
+    i = fault.nonzero()[0][0]
     return *rows, _fault(ck, int(first[i]), int(count[i]), int(line[i]),
                          _MESSAGES[int(fault[i])])
 
@@ -491,7 +502,7 @@ def _cross_rows(clique: np.ndarray, pairs: list[np.ndarray]) -> list[np.ndarray]
             if (bit[1:] == bit[:-1]).any() or (marks[byte] & mask).any():
                 raise RepeatedEdgeError("a clique edge repeats")
             # the bits of each byte joined first: the bytes then repeat none
-            first = np.flatnonzero(np.diff(byte, prepend=-1))
+            first = np.concatenate(([0], (byte[1:] != byte[:-1]).nonzero()[0] + 1))
             marks[byte.take(first)] |= np.bitwise_or.reduceat(mask, first)
         inside += bit.size
         cross.append(p[~both])
@@ -500,25 +511,42 @@ def _cross_rows(clique: np.ndarray, pairs: list[np.ndarray]) -> list[np.ndarray]
     return cross
 
 
-def _graph(n: int, pairs: list[np.ndarray]) -> Graph:
-    """The graph whose edges are the rows of pairs; raises
-    RepeatedEdgeError when a row repeats.
+def _graph(n: int, pairs: list[np.ndarray],
+           reread: Callable[[], Iterator[np.ndarray]]) -> Graph:
+    """The graph whose edges are the rows of pairs; raises the
+    SstpParseError of the earliest row that repeats an earlier one (see
+    _edge_repeat, which reads the source again through reread).
 
-    Its degrees are counted first. When they pass the Hammer-Simeone test
-    (see split), the k vertices it names are a clique and the rest an
-    independent set, provided the graph is simple; _cross_rows proves
+    Its degrees are counted first. When they pass the Hammer-Simeone
+    test (see split), the k vertices it names are a clique and the rest
+    an independent set, provided the graph is simple; _cross_rows proves
     that, and the graph is built in the split layout from its cross rows
-    alone. Otherwise its full CSR is built from all the rows.
+    alone. Otherwise a repeated row is looked for in the rows themselves
+    and, when there is none, the full CSR is built from them.
     """
+    # one bincount per run of pieces that holds n ids or more, so its
+    # n entries cost O(1) per id whatever the number of pieces
     degrees = np.zeros(n, dtype=np.int64)
-    for p in pairs:
-        degrees += np.bincount(p.ravel(), minlength=n)
+    run, ids = [], 0
+    for i, p in enumerate(pairs, start=1):
+        run.append(p.ravel())
+        ids += p.size
+        if ids >= n or i == len(pairs):
+            degrees += np.bincount(np.concatenate(run) if len(run) > 1 else run[0],
+                                   minlength=n)
+            run, ids = [], 0
     order, k, split = _degree_test(degrees)
     if not split:
+        # before the CSR's sort keys, which take twice the rows' bytes
+        if (repeat := _edge_repeat(pairs, reread)) is not None:
+            raise repeat
         return Graph(n, *_csr(n, pairs))
     clique = np.zeros(n, dtype=bool)
     clique[order[:k]] = True
-    return Graph.from_cross_edges(clique, _cross_rows(clique, pairs))
+    try:
+        return Graph.from_cross_edges(clique, _cross_rows(clique, pairs))
+    except RepeatedEdgeError as exc:  # only the source knows the line
+        raise _edge_repeat(pairs, reread) or exc
 
 
 def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
@@ -583,10 +611,7 @@ def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
     if fault is None and repeated_terminal is None and edges == m and len(x) == t:
         # the header has m >= n - 1 and m rows were read, so the build is
         # sized by the input, not by the header alone
-        try:
-            graph = _graph(n, pairs)
-        except RepeatedEdgeError as exc:  # only the source knows the line
-            raise _edge_repeat(pairs, reread) or exc
+        graph = _graph(n, pairs, reread)
         del pairs
         try:
             return SteinerInstance(graph=graph, terminals=tuple(x.tolist()))

@@ -38,22 +38,25 @@ class X3CInstance:
 
     def __post_init__(self) -> None:
         g, triples = self.ground_size, self.triples
-        if g < 3 or g % 3 != 0:
-            raise ValueError(f"ground size must be a positive multiple of 3, got {g}")
-        # the rows before the first triple that is not 3 integers
-        head = len(triples)
-        kinds = set(map(type, chain.from_iterable(triples)))
-        if set(map(len, triples)) - {3} or not all(hasattr(k, "__index__") for k in kinds):
-            head = next(i for i, t in enumerate(triples)
-                        if len(t) != 3 or not all(hasattr(e, "__index__") for e in t))
-        elements = map(operator.index, chain.from_iterable(triples[:head]))
-        rows = np.fromiter(elements, dtype=np.int64, count=3 * head).reshape(head, 3)
+        if not hasattr(g, "__index__") or not 3 <= g < 2**63 or g % 3 != 0:
+            raise ValueError("ground size must be a positive multiple of 3 below 2**63, "
+                             f"got {g!r}")
+        try:
+            rows = _rows(triples)
+        except (TypeError, OverflowError):  # the triples before the first bad one
+            head = next(i for i, t in enumerate(triples) if not _integers(t))
+            rows = _rows(triples[:head])
+        head = len(rows)
         if (fault := _first_fault(g, rows)) is not None:
             raise ValueError(fault[1])
         if head < len(triples):
-            raise ValueError(f"triple {tuple(triples[head])} must be 3 integers")
+            t = tuple(triples[head])
+            if len(t) == 3 and all(hasattr(e, "__index__") for e in t):  # past int64
+                raise ValueError(_range_fault(tuple(map(operator.index, t)), g))
+            raise ValueError(f"triple {t} must be 3 integers")
         key = np.sort(rows, axis=1)
         order = np.lexsort(key.T[::-1])
+        object.__setattr__(self, "ground_size", operator.index(g))
         object.__setattr__(self, "triples", tuple(map(tuple, key[order].tolist())))
 
     @property
@@ -74,10 +77,29 @@ def _first_fault(ground: int, rows: np.ndarray) -> tuple[int, str] | None:
         return repeat[1], f"duplicate triple {tuple(key[repeat[1]].tolist())}"
     if head == len(rows):
         return None
-    t = tuple(rows[head].tolist())
+    return head, _range_fault(tuple(rows[head].tolist()), ground)
+
+
+def _rows(triples: tuple) -> np.ndarray:
+    """The triples as an (n, 3) int64 array. Raises TypeError or
+    OverflowError unless each is 3 integers that fit an int64."""
+    if set(map(len, triples)) - {3}:
+        raise TypeError("a triple is not 3 long")
+    elements = map(operator.index, chain.from_iterable(triples))
+    return np.fromiter(elements, dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
+
+
+def _integers(triple: tuple) -> bool:
+    """Whether _rows accepts triple."""
+    return len(triple) == 3 and all(
+        hasattr(e, "__index__") and -2**63 <= operator.index(e) < 2**63 for e in triple)
+
+
+def _range_fault(t: tuple[int, int, int], ground: int) -> str:
+    """The message for 3 integers that repeat one or leave 1..ground."""
     outside = [e for e in t if not 1 <= e <= ground]
-    return head, (f"triple {t} has repeated elements" if len(set(t)) != 3
-                  else f"element {outside[0]} outside ground set 1..{ground}")
+    return (f"triple {t} has repeated elements" if len(set(t)) != 3
+            else f"element {outside[0]} outside ground set 1..{ground}")
 
 
 def _check_line(ck: _Chunk, first: int, size: int, tag: int, line: int,

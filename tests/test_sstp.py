@@ -14,6 +14,7 @@ from splitsteiner import (
     SstpParseError,
     SteinerInstance,
     gen_split,
+    graph,
     parse_instance,
     serialize_instance,
     split_partition,
@@ -207,6 +208,32 @@ def test_split_input_with_a_repeat_matches_reference(text):
     assert _outcome(_parse_file, text.encode()) == expected
     with mock.patch.object(sstp, "CHUNK_BYTES", 7):
         assert _outcome(_parse_file, text.encode()) == expected
+
+
+@pytest.mark.parametrize("chunk", [7, 64, sstp.CHUNK_BYTES])
+def test_repeated_edge_is_found_before_any_csr(monkeypatch, chunk):
+    """A split gen file whose last edge line repeats its first fails the
+    degree test; its repeat is found from the rows, as the line-by-line
+    reference reports it, and no CSR is built on the way."""
+    text = serialize_instance(gen_split(GeneratorConfig(
+        clique_size=30, independent_size=40, level=2, seed=1)))
+    lines = text.splitlines(keepends=True)
+    edge_lines = [i for i, line in enumerate(lines) if line.startswith("e ")]
+    lines[edge_lines[-1]] = lines[edge_lines[0]]
+    text = "".join(lines)
+    expected = _outcome(reference_parse, text)
+    assert expected[:2] == ("error", edge_lines[-1] + 1)
+    ends = [int(w) for i in edge_lines for w in lines[i].split()[1:]]
+    assert not _degree_test(np.bincount(ends))[2]  # so the split layout is not tried
+
+    def no_csr(*args):
+        raise RuntimeError("a CSR was built")
+
+    monkeypatch.setattr(graph, "_csr", no_csr)
+    monkeypatch.setattr(sstp, "_csr", no_csr)
+    monkeypatch.setattr(sstp, "CHUNK_BYTES", chunk)
+    assert _outcome(parse_instance, text) == expected
+    assert _outcome(_parse_file, text.encode()) == expected
 
 
 def test_parsed_split_file_stores_only_its_cross_edges():
@@ -615,7 +642,7 @@ WORD_CASES = {
 }
 
 
-@pytest.mark.parametrize("chunk", CHUNK_SIZES + (sstp.CHUNK_BYTES,))
+@pytest.mark.parametrize("chunk", CHUNK_SIZES + (sstp.CHUNK_BYTES, 1 << 18))
 @pytest.mark.parametrize("name", sorted(WORD_CASES))
 def test_word_cases_match_reference(name, chunk):
     text = WORD_CASES[name]
@@ -683,15 +710,18 @@ def test_chunk_kernel_matches_bytewise_reference(data, line0):
     assert list(zip(*(col.tolist() for col in ck.statements()))) == expected
 
 
-@pytest.mark.parametrize("chunk", [7, 1 << 18])
+@pytest.mark.parametrize("chunk", [7, sstp.CHUNK_BYTES, 1 << 18])
 def test_invalid_utf8_wins_as_in_a_whole_file_decode(monkeypatch, chunk):
     """Bytes that are not UTF-8 are reported as decoding the whole file
     reports them, even after a bad line in an earlier chunk, whether the
-    bytes are given or read from an open file: one bad byte, and a
-    sequence cut short at the end."""
+    bytes are given or read from an open file: one bad byte, a sequence
+    cut short at the end, and a bad byte after a valid 2-byte character
+    in a chunk that follows chunks of ASCII alone."""
     monkeypatch.setattr(sstp, "CHUNK_BYTES", chunk)
-    for tail, bad in [(b"# caf\xc3\n\xe2\x82", b"\xc3"), (b"# \xe2\x82", b"\xe2")]:
-        data = b"p sstp 2 1 0\ne 1 5\n" + PAD.encode() * 3 + tail
+    pad = PAD.encode() * (3 + 2 * chunk // len(PAD))
+    for tail, bad in [(b"# caf\xc3\n\xe2\x82", b"\xc3"), (b"# \xe2\x82", b"\xe2"),
+                      (b"# caf\xc3\xa9 \xff\n", b"\xff")]:
+        data = b"p sstp 2 1 0\ne 1 5\n" + pad + tail
         with pytest.raises(UnicodeDecodeError) as whole:
             data.decode("utf-8")
         for parse in (parse_instance, _parse_file):
@@ -708,7 +738,7 @@ def test_parse_memory_grows_with_edges_not_bytes():
 
     Measured (Python 3.11, numpy 2.4): the peak falls in the last chunk's
     tokenizing and grows by about 14 bytes per edge, the text's UTF-8 copy
-    (10) and the rows (4), plus about 13 per chunk byte for one chunk's
+    (10) and the rows (4), plus about 12 per chunk byte for one chunk's
     temporaries. A and B leave more than twice that. A parser holding
     whole-text temporaries peaks at about 200 bytes per edge (20 per input
     byte) and fails both bounds.
@@ -756,7 +786,7 @@ def test_parse_from_a_file_holds_rows_not_bytes(tmp_path):
     """The tracemalloc peak of parse_instance on open gen files of about
     245k and 500k edges grows by at most 6 bytes per edge between them.
 
-    Measured (Python 3.11, numpy 2.4): about 3.7. Both peaks are the last
+    Measured (Python 3.11, numpy 2.4): about 4.0. Both peaks are the last
     chunk's tokenizing, and between them only the rows grow: two uint16
     ids per edge (4 bytes). The split graph is then built from its cross
     edges alone. Keeping an int32 line number per edge as well would
@@ -785,8 +815,8 @@ def test_parse_of_a_graph_that_is_not_split_holds_rows_and_keys(tmp_path):
     and 500k edges that are not split grows by at most 24 bytes per edge
     between them.
 
-    Measured (Python 3.11, numpy 2.4): about 10. At the larger file the
-    peak is the CSR build: uint16 rows (4 bytes per edge), int32 sort
+    Measured (Python 3.11, numpy 2.4): about 14. At both files the peak
+    is the CSR build: uint16 rows (4 bytes per edge), int32 sort
     keys (8), which become the CSR indices, and a mask comparing
     neighbouring keys.
     """
@@ -822,12 +852,13 @@ def test_duplicate_edge_costs_no_more_memory_than_a_valid_file(tmp_path):
     its first is reported at that line, and the tracemalloc peak of its
     parse stays within the valid file's plus 8 bytes per chunk byte.
 
-    Measured (Python 3.11, numpy 2.4): 4.5 MB for the valid file and
-    5.2 MB for this one, whose degrees fail the split test, so the sort
-    keys of its full CSR (8 bytes per edge) are made before the repeat
-    is found. Joining every row and line number to sort them, as the
-    parse once did on this path, peaked 4 MB (16 bytes per edge) above
-    the valid file.
+    Measured (Python 3.11, numpy 2.4): 1.8 MB for the valid file and
+    2.1 MB for this one, whose degrees fail the split test: its rows are
+    sorted once more, 4 bytes per edge, and the repeat is found before
+    any key of the full CSR is made. Making those sort keys (8 bytes per
+    edge) first, as the parse once did, peaked at 3.5 MB; joining every
+    row and line number to sort them peaked 4 MB (16 bytes per edge)
+    above the valid file.
     """
     text = serialize_instance(gen_split(GeneratorConfig(
         clique_size=700, independent_size=700, level=2, seed=1)))

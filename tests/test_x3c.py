@@ -54,6 +54,9 @@ def test_instance_canonicalizes():
     (6, (("1", 2, 3),), "must be 3 integers"),
     (6, ((1, 1, 2), (1, 2, 3.9)), "repeated elements"),
     (6, ((1, 2, 3.9), (1, 1, 2)), "must be 3 integers"),
+    # a ground size that is no integer, and an element past int64
+    (6.0, ((1, 2, 3), (4, 5, 6)), r"multiple of 3 below 2\*\*63, got 6.0"),
+    (6, ((1, 2, 2**70),), f"element {2**70} outside ground set 1..6"),
 ])
 def test_instance_validation(ground, triples, match):
     with pytest.raises(ValueError, match=match):
@@ -205,7 +208,7 @@ def test_parse_in_chunks_matches_default_chunks(monkeypatch, text, chunk):
     assert _outcome(parse_x3c, io.BytesIO(data)) == expected
 
 
-@pytest.mark.parametrize("chunk", [7, sstp.CHUNK_BYTES])
+@pytest.mark.parametrize("chunk", [7, sstp.CHUNK_BYTES, 1 << 18])
 def test_invalid_utf8_after_a_bad_line_wins(monkeypatch, chunk):
     """A byte that is not UTF-8 after a bad line is reported as decoding
     the whole file reports it, from bytes and from an open file."""
