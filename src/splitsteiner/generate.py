@@ -50,6 +50,8 @@ class GeneratorConfig:
             raise ValueError("clique_size and independent_size must be positive")
         if not 0.0 <= self.edge_density <= 1.0:
             raise ValueError(f"edge_density must lie in [0, 1], got {self.edge_density}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _cross_level1(rng: np.random.Generator, a: int, b: int,

@@ -106,15 +106,8 @@ class Graph:
         row.sort(kind="stable")  # two sorted runs: merged, not sorted afresh
         return row
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if self._clique is not None and self._clique[u] and self._clique[v]:
-            return u != v
-        row = self._indices[self._indptr[u]:self._indptr[u + 1]]
-        i = int(np.searchsorted(row, v))
-        return i < len(row) and int(row[i]) == v
-
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """has_edge(u[i], v[i]) for each i, ids in range, by one bisection
+        """Adjacency of each pair u[i], v[i], ids in range, by one bisection
         of the CSR rows of all the u[i] at once (and the clique mask)."""
         lo, end = self._indptr[u], self._indptr[u + 1]
         if not self._indices.size:

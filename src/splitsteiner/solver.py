@@ -72,14 +72,14 @@ class SolveTrace:
 @dataclass(frozen=True)
 class PrunedInstance:
     """Reduced instance: every surviving I-vertex is a terminal and no
-    surviving clique vertex is one."""
+    surviving clique vertex is one. removed_s1..s3 list, ascending, what
+    each rule removed; S3 holds the promoted terminals too."""
 
     view: SplitPartition
     terminals: tuple[int, ...]
     removed_s1: tuple[int, ...]
     removed_s2: tuple[int, ...]
     removed_s3: tuple[int, ...]
-    clique_terminal_anchor: int | None
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,6 @@ def prune(inst: SteinerInstance, sp: SplitPartition) -> PrunedInstance:
             s3_set.add(v)
             s3_set.update(sp.indep_neighbors(v))
 
-    clique_terminals = [v for v in sp.clique if v in r_set]
-    anchor = clique_terminals[0] if clique_terminals else None
     c1 = {v for v in sp.clique if v not in s2_set and v not in s3_set}
     i1 = [x for x in sp.independent if x not in s1_set and x not in s3_set]
     # promotion leaves c1 as it is, so the promotable terminals are known
@@ -130,8 +128,6 @@ def prune(inst: SteinerInstance, sp: SplitPartition) -> PrunedInstance:
     if promoted:
         s3_set.update(promoted)
         i1 = [x for x in i1 if x not in s3_set]
-        if anchor is None:
-            anchor = promoted[0]
 
     view = restrict_view(sp, drop_clique=s2_set | s3_set,
                          drop_indep=s1_set | s3_set)
@@ -140,8 +136,7 @@ def prune(inst: SteinerInstance, sp: SplitPartition) -> PrunedInstance:
         raise InvariantError("pruning left a non-terminal independent vertex")
     return PrunedInstance(view=view, terminals=terminals,
                           removed_s1=tuple(s1), removed_s2=tuple(s2),
-                          removed_s3=tuple(sorted(s3_set)),
-                          clique_terminal_anchor=anchor)
+                          removed_s3=tuple(sorted(s3_set)))
 
 
 def _matched_labels(view: SplitPartition) -> tuple[set[int], int]:
@@ -361,9 +356,10 @@ def solve(inst: SteinerInstance, *, exact_fallback: bool = False) -> SteinerResu
     pi = prune(inst, sp)
     view = pi.view
     i1 = pi.terminals
-    if not i1 or (len(i1) == 1 and pi.clique_terminal_anchor is None):
+    if not i1 or (len(i1) == 1 and not pi.removed_s3):
         # R is already connected: clique terminals are pairwise adjacent
-        # and every pruned I-terminal hangs off one of them
+        # and every pruned I-terminal hangs off one of them, or (S3 empty)
+        # R is the one I-terminal left
         return SteinerResult((), _tree_edges(sp, r_set),
                              SolveTrace(regime="empty"))
 

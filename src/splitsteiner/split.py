@@ -48,17 +48,17 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class SplitPartition:
-    """A (clique, independent) split of the vertices 0..n-1 of a graph.
+    """A (clique, independent) split of a graph's vertices.
 
     The clique side is maximal when split_partition returns the
-    partition; the reduced views of structure.restrict_view need not be.
+    partition; the reduced views of structure.restrict_view need not be,
+    and hold only the vertices they keep. Both sides are ascending.
     delta_i is the maximum number of independent-set neighbors over clique
     vertices; v3 lists the clique vertices with exactly three. Vertex ids
     are host-graph ids throughout. The partition holds the edges between
     its two sides, which are all the solvers read of the graph.
     """
 
-    n: int
     clique: tuple[int, ...]
     independent: tuple[int, ...]
     delta_i: int
@@ -67,7 +67,7 @@ class SplitPartition:
     _n_c: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
 
     @classmethod
-    def from_neighbor_map(cls, n: int, clique: tuple[int, ...],
+    def from_neighbor_map(cls, clique: tuple[int, ...],
                           independent: tuple[int, ...],
                           n_i: dict[int, tuple[int, ...]]) -> "SplitPartition":
         """Partition whose delta_i, v3 and clique neighbors are read off
@@ -79,7 +79,7 @@ class SplitPartition:
         for v in sorted(n_i):  # ascending, so each list comes out sorted
             for x in n_i[v]:
                 n_c.setdefault(x, []).append(v)
-        return cls(n=n, clique=clique, independent=independent,
+        return cls(clique=clique, independent=independent,
                    delta_i=delta_i, v3=v3, _n_i=n_i,
                    _n_c={x: tuple(vs) for x, vs in n_c.items()})
 
@@ -90,36 +90,6 @@ class SplitPartition:
     def clique_neighbors(self, x: int) -> tuple[int, ...]:
         """Sorted clique neighbors of independent vertex x."""
         return self._n_c.get(x, ())
-
-
-def _partition_from_clique(g: Graph, clique: list[int]) -> SplitPartition:
-    cset = set(clique)
-    independent = [v for v in range(g.n) if v not in cset]
-    buckets: dict[int, list[int]] = {}
-    for x in independent:
-        for w in g.neighbors(x):
-            buckets.setdefault(int(w), []).append(x)
-    # xs ascending: the outer loop runs in ascending x
-    n_i = {v: tuple(xs) for v, xs in buckets.items()}
-    return SplitPartition.from_neighbor_map(g.n, tuple(sorted(clique)),
-                                            tuple(independent), n_i)
-
-
-def _validate_candidate(g: Graph, clique: list[int]) -> bool:
-    """Complete check that (clique, rest) is a split partition with a
-    maximal clique, from degrees in O(n).
-
-    With k = |C| and I the rest, sum_C deg - sum_I deg = 2e(C) - 2e(I),
-    which is k(k-1) iff e(C) = C(k,2) and e(I) = 0. Once I is
-    independent, an I-vertex of degree k sees all of C.
-    """
-    k = len(clique)
-    in_c = np.zeros(g.n, dtype=bool)
-    in_c[clique] = True
-    degs = g.degrees()
-    rest = degs[~in_c]
-    return (int(degs[in_c].sum()) == k * (k - 1) + int(rest.sum())
-            and not bool((rest == k).any()))
 
 
 def _degree_test(degs: np.ndarray) -> tuple[np.ndarray, int, bool]:
@@ -202,14 +172,19 @@ def split_partition(g: Graph) -> SplitPartition:
     """Canonical split partition of g, or raise NotSplitError.
 
     The clique side is the first k vertices of the degree order (degree
-    descending, id ascending): by the module docstring's argument it is
-    a maximum clique, and the lexicographically smallest valid one, so
-    the result is deterministic. Works on disconnected and empty graphs.
+    descending, id ascending): by the module docstring's argument the
+    degree test proves it a maximal clique beside an independent rest,
+    and the lexicographically smallest valid one, so the result is
+    deterministic. Works on disconnected and empty graphs.
     """
     order, k, split = _degree_test(g.degrees())
     if not split:
         raise _certificate(g)
-    clique = sorted(order[:k].tolist())
-    if not _validate_candidate(g, clique):
-        raise InvariantError("degree test passed but partition invalid")
-    return _partition_from_clique(g, clique)
+    independent = sorted(order[k:].tolist())
+    n_i: dict[int, list[int]] = {}
+    for x in independent:  # ascending, so each list comes out sorted
+        for w in g.neighbors(x).tolist():
+            n_i.setdefault(w, []).append(x)
+    return SplitPartition.from_neighbor_map(
+        tuple(sorted(order[:k].tolist())), tuple(independent),
+        {v: tuple(xs) for v, xs in n_i.items()})

@@ -68,7 +68,7 @@ def restrict_view(src: SplitPartition,
             xs = tuple(x for x in xs if x not in di)
         if xs:
             n_i[v] = xs
-    return SplitPartition.from_neighbor_map(src.n, clique, independent, n_i)
+    return SplitPartition.from_neighbor_map(clique, independent, n_i)
 
 
 def find_induced_star(sp: SplitPartition, r: int) -> StarWitness | None:
@@ -78,7 +78,8 @@ def find_induced_star(sp: SplitPartition, r: int) -> StarWitness | None:
     are preferred; otherwise the last leaf is the smallest clique vertex
     whose neighborhood misses N_I(center). The centers with d_I = r-1
     that come before the first with d_I >= r are tested by key, as the
-    module docstring describes.
+    module docstring describes: O(|C| + cross edges) in all, plus O(|C|)
+    per distinct key when some center has d_I >= r.
     """
     if r < 3:
         raise ValueError("induced-star search needs r >= 3")

@@ -25,6 +25,7 @@ from splitsteiner import (
 )
 import splitsteiner.__main__ as entry
 from splitsteiner.cli import main
+from splitsteiner.split import _witness
 from helpers import assert_obstruction_is_real, reference_serialize
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -268,19 +269,24 @@ def test_check_large_non_split_does_not_hang(tmp_path, capsys, kind, c):
         g, NotSplitError(kind, tuple(v - 1 for v in ws["vertices"])))
 
 
-@pytest.mark.parametrize("text", [CLAW, "p sstp 3 3 0\ne 1 2\ne 1 3\ne 2 3\n"],
-                         ids=["boundary-tie", "whole-pool"])
+@pytest.mark.parametrize(
+    "text", [C4, "p sstp 5 5 0\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"], ids=["C4", "C5"])
 def test_check_invariant_violation_exits_1(tmp_path, capsys, monkeypatch, text):
     """A failed recognition invariant is an error line and exit 1, not a
-    traceback. Both inputs reach the one guard after the degree test: the
-    claw with a tie at the boundary degree, the triangle without one."""
-    monkeypatch.setattr("splitsteiner.split._validate_candidate",
-                        lambda g, clique: False)
+    traceback. Both non-split inputs reach the guard that names what the
+    certifier shrank them to, here handed the cycle minus its last
+    vertex, a path, which is none of 2K2, C4 and C5."""
+    def short(alive, edges):
+        last = len(alive) - 1
+        return _witness(alive[:last], [e for e in edges if last not in e])
+
+    monkeypatch.setattr("splitsteiner.split._witness", short)
     path = _write(tmp_path, "g.sstp", text)
     assert main(["check", "--input", path]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("error: degree test passed but ")
+    assert out.err.startswith("error: non-split graph shrank to ")
+    assert out.err.count("\n") == 1
     assert "Traceback" not in out.err
 
 
@@ -325,6 +331,14 @@ def test_gen_infeasible(tmp_path, capsys):
                  "--output", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_negative_seed(capsys):
+    assert main(["gen", "--level", "1", "--clique", "4", "--indep", "3",
+                 "--seed", "-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: seed must be a non-negative integer, got -1\n"
 
 
 def test_bench_empty_dir(tmp_path, capsys):

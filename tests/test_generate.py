@@ -24,6 +24,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="must lie in"):
         GeneratorConfig(clique_size=4, independent_size=3, level=1,
                         edge_density=1.5)
+    for seed in (-1, 1.5, "7"):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            GeneratorConfig(clique_size=4, independent_size=3, level=1, seed=seed)
 
 
 def test_deterministic_per_seed():

@@ -27,9 +27,10 @@ def cycle(n):
 
 def _assert_valid(g, m):
     seen = set()
+    edge_set = set(g.edges())
     for u, v in m.edges:
         assert u < v
-        assert g.has_edge(u, v)
+        assert (u, v) in edge_set
         assert u not in seen and v not in seen
         seen.update((u, v))
     assert m.edges == tuple(sorted(m.edges))

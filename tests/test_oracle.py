@@ -135,15 +135,16 @@ def test_tree_certificate(level, k14_free):
         assert verify_solution(inst, s, tree) is True
         assert verify_solution(inst, s) is True
         g = inst.graph
+        edge_set = set(g.edges())
 
         dropped = tree[1:]
         non_edge = next((a, b) for a in sorted(members) for b in sorted(members)
-                        if a < b and not g.has_edge(a, b))
+                        if a < b and (a, b) not in edge_set)
         replaced = [non_edge] + tree[1:]
         # an edge of G[S u R] outside the tree, swapped for a tree edge off
         # the cycle it closes: still |S u R| - 1 graph edges, but not a tree
         chords = [(a, b) for a in sorted(members) for b in sorted(members)
-                  if a < b and g.has_edge(a, b) and (a, b) not in tree
+                  if a < b and (a, b) in edge_set and (a, b) not in tree
                   and (b, a) not in tree]
         cyclic = next(c for c in ([ch] + tree[:k] + tree[k + 1:]
                                   for ch in chords for k in range(len(tree)))

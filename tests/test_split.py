@@ -16,7 +16,6 @@ from splitsteiner import (
     gen_split,
     split_partition,
 )
-from splitsteiner.split import _validate_candidate
 from helpers import (
     assert_obstruction_is_real,
     brute_is_split,
@@ -28,17 +27,17 @@ from helpers import (
 )
 
 
-def _partition_invariants(g, sp):
+def _partition_invariants(masks, sp):
     cset, iset = set(sp.clique), set(sp.independent)
-    assert cset | iset == set(range(g.n))
+    assert cset | iset == set(range(len(masks)))
     assert not cset & iset
     for u, v in combinations(sp.clique, 2):
-        assert g.has_edge(u, v)
+        assert masks[u] >> v & 1
     for u, v in combinations(sp.independent, 2):
-        assert not g.has_edge(u, v)
+        assert not masks[u] >> v & 1
     # maximality: no independent vertex sees the whole clique
     for u in sp.independent:
-        assert not cset or any(not g.has_edge(u, w) for w in sp.clique)
+        assert not cset or any(not masks[u] >> w & 1 for w in sp.clique)
     degs = {v: len(sp.indep_neighbors(v)) for v in sp.clique}
     assert sp.delta_i == (max(degs.values()) if degs else 0)
     assert sp.v3 == tuple(sorted(v for v, d in degs.items() if d == 3))
@@ -111,28 +110,8 @@ def test_every_graph_up_to_6_vertices():
                 assert_obstruction_is_real(g, err)
             else:
                 assert brute_is_split(masks), (n, edges)
-                _partition_invariants(g, sp)
+                _partition_invariants(masks, sp)
                 assert sp.clique == reference_split_clique(g), (n, edges)
-
-
-def test_validate_candidate_from_degrees():
-    """The degree-sum check accepts exactly the (clique, rest) pairs with
-    a complete, maximal clique and an independent rest, on every graph
-    and every candidate side up to 5 vertices."""
-    for n in range(1, 6):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for sub in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if sub >> i & 1]
-            g = Graph.from_edges(n, edges)
-            masks = masks_from_graph(g)
-            for side in range(1 << n):
-                clique = [v for v in range(n) if side >> v & 1]
-                rest = [v for v in range(n) if not side >> v & 1]
-                want = (all(masks[u] >> v & 1 for u, v in combinations(clique, 2))
-                        and not any(masks[u] >> v & 1
-                                    for u, v in combinations(rest, 2))
-                        and not any(masks[x] & side == side for x in rest))
-                assert _validate_candidate(g, clique) == want, (n, edges, clique)
 
 
 @st.composite
@@ -166,7 +145,7 @@ def tied_split_graphs(draw):
 @settings(max_examples=150, deadline=None)
 def test_degree_order_matches_tie_search(g):
     sp = split_partition(g)
-    _partition_invariants(g, sp)
+    _partition_invariants(masks_from_graph(g), sp)
     assert sp.clique == reference_split_clique(g)
 
 
@@ -221,7 +200,7 @@ def test_recognizer_matches_brute_force(g):
         assert_obstruction_is_real(g, err)
     else:
         assert brute_is_split(masks)
-        _partition_invariants(g, sp)
+        _partition_invariants(masks, sp)
 
 
 @st.composite

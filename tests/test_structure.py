@@ -8,6 +8,7 @@ from splitsteiner import (
     Graph,
     LabeledGraph,
     SplitPartition,
+    StarWitness,
     SteinerInstance,
     build_labeled_graph,
     corresponding_clique_set,
@@ -22,6 +23,7 @@ from helpers import (
     adversarial_partition,
     brute_find_star,
     graph_from_masks,
+    masks_from_graph,
     reference_find_star,
     set_connected,
     split_corpus,
@@ -32,12 +34,12 @@ TRI_HOST = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2),
                                 (0, 3), (0, 4), (1, 4), (1, 5)])
 
 
-def _assert_star_is_real(g, w, r):
+def _assert_star_is_real(masks, w, r):
     assert len(w.leaves) == r
     for leaf in w.leaves:
-        assert g.has_edge(w.center, leaf)
+        assert masks[w.center] >> leaf & 1
     for a, b in combinations(w.leaves, 2):
-        assert not g.has_edge(a, b)
+        assert not masks[a] >> b & 1
 
 
 def test_claw_in_star_graph():
@@ -46,7 +48,7 @@ def test_claw_in_star_graph():
     w = find_induced_star(sp, 3)
     assert w is not None and w.center == 0
     assert set(w.leaves) == {1, 2, 3}
-    _assert_star_is_real(g, w, 3)
+    _assert_star_is_real(masks_from_graph(g), w, 3)
     assert find_induced_star(sp, 4) is None
 
 
@@ -56,7 +58,7 @@ def test_claw_via_clique_leaf():
     assert sp.clique == (0, 1, 2)
     w = find_induced_star(sp, 3)
     assert w is not None
-    _assert_star_is_real(TRI_HOST, w, 3)
+    _assert_star_is_real(masks_from_graph(TRI_HOST), w, 3)
 
 
 def test_star_requires_r_at_least_3():
@@ -85,7 +87,7 @@ def test_corpus_star_search_and_characterizations(corpus7):
             brute = brute_find_star(masks, r)
             assert (w is None) == (brute is None), (n, masks, r)
             if w is not None:
-                _assert_star_is_real(g, w, r)
+                _assert_star_is_real(masks, w, r)
 
 
 def test_star_search_on_pruned_views(corpus7):
@@ -113,14 +115,13 @@ def test_star_search_on_pruned_views(corpus7):
                     (n, masks, view.clique, view.independent, r)
                 if w is not None:
                     assert {w.center, *w.leaves} <= set(keep)
-                    _assert_star_is_real(g, w, r)
+                    _assert_star_is_real(masks, w, r)
             views += 1
     assert views > 2000
 
 
 def _partition(clique, independent, n_i) -> SplitPartition:
-    n = len(clique) + len(independent)
-    return SplitPartition.from_neighbor_map(n, tuple(sorted(clique)),
+    return SplitPartition.from_neighbor_map(tuple(sorted(clique)),
                                             tuple(sorted(independent)), n_i)
 
 
@@ -182,6 +183,21 @@ def test_star_test_matches_reference(view):
         assert (w is None) == (brute_find_star(masks, r) is None), r
 
 
+def _count_clique_neighbor_reads(monkeypatch) -> list[int]:
+    """Make SplitPartition.clique_neighbors add the length of each answer
+    to the returned list's one entry."""
+    read = [0]
+    clique_neighbors = SplitPartition.clique_neighbors
+
+    def counted(self, x):
+        out = clique_neighbors(self, x)
+        read[0] += len(out)
+        return out
+
+    monkeypatch.setattr(SplitPartition, "clique_neighbors", counted)
+    return read
+
+
 def test_star_test_reads_linear_neighbor_entries(monkeypatch):
     """On the adversarial K_{1,4}-free family the union per key read
     about 1.3 k^2 clique-neighbor entries; the test now reads each
@@ -189,18 +205,29 @@ def test_star_test_reads_linear_neighbor_entries(monkeypatch):
     k = 4000
     sp = adversarial_partition(k, seed=2)
     cross = sum(len(sp.indep_neighbors(v)) for v in sp.clique)
-    read = 0
-    clique_neighbors = SplitPartition.clique_neighbors
-
-    def counted(self, x):
-        nonlocal read
-        out = clique_neighbors(self, x)
-        read += len(out)
-        return out
-
-    monkeypatch.setattr(SplitPartition, "clique_neighbors", counted)
+    read = _count_clique_neighbor_reads(monkeypatch)
     assert find_induced_star(sp, 4) is None
-    assert 0 < read <= 2 * (len(sp.clique) + cross)
+    assert 0 < read[0] <= 2 * (len(sp.clique) + cross)
+
+
+def test_star_test_reads_quadratic_entries_before_a_late_center(monkeypatch):
+    """With delta_i >= r, each distinct key before the first center with
+    d_I >= r costs O(|C|), as find_induced_star's docstring bounds it:
+    the adversarial family plus a last clique vertex that sees the three
+    hubs and a leaf of its own has k keys, none with a gap, each reading
+    two hubs of about 2k/3 clique neighbors (1.33 k^2 in all)."""
+    base = adversarial_partition(1000, seed=3)
+    hubs = tuple(x for x in base.independent if len(base.clique_neighbors(x)) > 1)
+    center = len(base.clique) + len(base.independent)  # the highest id
+    n_i = {v: base.indep_neighbors(v) for v in base.clique}
+    n_i[center] = hubs + (center + 1,)
+    sp = SplitPartition.from_neighbor_map(base.clique + (center,),
+                                          base.independent + (center + 1,), n_i)
+    want = reference_find_star(sp, 4)
+    assert want == StarWitness(center=center, leaves=hubs + (center + 1,))
+    read = _count_clique_neighbor_reads(monkeypatch)
+    assert find_induced_star(sp, 4) == want
+    assert 0 < read[0] <= 2 * len(sp.clique) ** 2
 
 
 def test_restrict_view_recomputes_structure():
