@@ -72,7 +72,7 @@ class Graph:
             if u == v and 0 <= u < n:
                 raise ValueError(f"self-loop at vertex {u}")
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        return cls(n, *_csr(n, [pairs]))
+        return cls(n, *_csr(n, [pairs], len(pairs)))
 
     @classmethod
     def from_cross_edges(cls, clique: np.ndarray,
@@ -83,7 +83,7 @@ class Graph:
         of ids with one end in the clique each. Raises RepeatedEdgeError
         when a row repeats; nothing else is checked."""
         n = len(clique)
-        return cls(n, *_csr(n, pieces), clique=clique)
+        return cls(n, *_csr(n, pieces, sum(map(len, pieces))), clique=clique)
 
     @property
     def m(self) -> int:
@@ -165,11 +165,11 @@ class RepeatedEdgeError(ValueError):
     """A graph's edges repeat a pair."""
 
 
-def _csr(n: int, pieces: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of the simple graph on n vertices whose edges are
-    the rows of pieces, (k, 2) integer arrays of ids in [0, n) with no
-    self-loop. Raises RepeatedEdgeError naming the smallest repeated pair,
-    in either orientation.
+def _csr(n: int, pieces: Iterable[np.ndarray], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the simple graph on n vertices whose m edges
+    are the rows of pieces, (k, 2) integer arrays of ids in [0, n) with
+    no self-loop, taken one at a time. Raises RepeatedEdgeError naming
+    the smallest repeated pair, in either orientation.
 
     One key per orientation, u * n + v, is written straight from the
     pieces into one array, int32 when n**2 fits, and sorted in place:
@@ -177,7 +177,6 @@ def _csr(n: int, pieces: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     neighbouring keys, and int32 keys reduced mod n in place are the
     CSR indices.
     """
-    m = sum(len(p) for p in pieces)
     key_type = np.int32 if n * n < 2**31 else np.int64
     keys = np.empty(2 * m, dtype=key_type)
     at = 0

@@ -25,39 +25,49 @@ tokenized with array operations (see _Chunk): bytes are classed by range
 comparisons, token bounds come from one nonzero, and each number is
 read from one unaligned little-endian 8-byte word per 8 digits, whose
 digits are tested and joined by integer arithmetic on the whole word.
-The chunk is then checked line by line; only a row of ids per edge, in
-the narrowest dtype that holds n - 1 (uint16 while n <= 65,536: 4 bytes
-per edge), and an id and a line number per terminal outlive it. No line
-number is kept per edge.
+The chunk is then checked line by line; only its edge rows, ids in the
+narrowest dtype that holds n - 1 (uint16 while n <= 65,536), and an id
+and a line number per terminal outlive it. The rows are kept as runs
+when they average 4 or more to a run (see runs): a run is a stretch
+of rows (u, v), (u, v + 1), ... with one u, held as its first row and
+its length. In a sorted file, as gen, reduce-x3c and serialize_instance
+write, runs are a vertex's higher neighbours: 124 to 251 rows a run on
+average on the gen files of the benchmark. Other chunks keep their
+rows, 4 bytes per edge while the ids are uint16. No line number is kept
+per edge.
 
-The graph is then built from the rows (see _graph). Their degrees are
-counted first. When the Hammer-Simeone test (see split) passes, the rows
-are classed a chunk's piece at a time: clique pairs each set a bit of a
-bit-packed k x k matrix, and the cross rows, between the clique and the
-rest, are kept. Once no bit is set twice and no cross row repeats, the
-graph is simple: the degree identity, which holds for a multigraph too,
-leaves no row between two vertices outside the clique and makes the
-clique complete. It is stored in the split layout (see graph), from its
-cross rows alone. Any other graph has its rows, each viewed as one item
-of 4, 8 or 16 bytes, sorted once to find a repeated row, and then gets
-its full CSR from one sort of one int32 key per edge and orientation
-(int64 once n**2 >= 2**31). Only when a row repeats is the source read
-again, up to the earliest repeated row, for its line number.
+The graph is then built from these pieces (see _graph), each expanded
+to rows only while it is read. Their degrees are counted first, a piece
+at a time. When the Hammer-Simeone test (see split) passes, the rows are
+classed a piece at a time: clique pairs each set a bit of a bit-packed
+k x k matrix, and the cross rows, between the clique and the rest, are
+kept. Once no bit is set twice and no cross row repeats, the graph is
+simple: the degree identity, which holds for a multigraph too, leaves no
+row between two vertices outside the clique and makes the clique
+complete. It is stored in the split layout (see graph), from its cross
+rows alone. Any other graph is first searched for a repeated row: two
+rows can only repeat where two runs, or a run and a row, overlap, so
+only the rows kept as rows are sorted, as one key each, and only the
+runs that overlap something are expanded (see runs). It then
+gets its full CSR from one sort of one int32 key per edge and
+orientation (int64 once n**2 >= 2**31). Only when a row repeats is the
+source read again, up to the earliest repeated row, for its line number.
 
 Parsing an open file therefore holds one chunk of text (CHUNK_BYTES
 bytes and the rest of a line) and its temporaries, about 12 bytes per
-chunk byte, plus the rows, about 4 bytes per edge while n <= 65,536,
-and never the file's bytes. A split graph adds k**2 / 8 bytes of bits,
-where k(k - 1) <= 2m, and its cross rows: on 0.5M edges the parse peaks
-at about 6 bytes per edge under tracemalloc, two thirds of it the rows
-and the rest the last chunk's tokenizing. Any other graph adds the sort
-keys and a mask over them: about 14 bytes per edge in all while n <
-46,341 and about 30 from there on (int64 keys, then the int32 indices
-written beside them); the rows' own sort, done first, takes 4 bytes per
-edge. A str or bytes source adds its own UTF-8 bytes, and a file that
-cannot seek is read whole first. Nothing is sized by the header's
-counts. The .x3c reader (see x3c) tokenizes its chunks with the same
-code.
+chunk byte, plus the pieces, and never the file's bytes. While n <=
+65,536 a run takes 6 bytes, under 0.05 bytes per edge on a sorted gen
+file, and a row kept as a row 4. A split graph adds k**2 / 8 bytes of
+bits, where k(k - 1) <= 2m, and its cross rows: on a sorted gen file of
+0.5M edges the parse peaks at about 1.0 MB under tracemalloc, 2 bytes
+per edge, nearly all of it the last chunk's tokenizing. Any other graph
+adds the sort keys and a mask over them: about 10 bytes per edge while
+n < 46,341 and about 26 from there on (int64 keys, then the int32
+indices written beside them), plus, for rows kept as rows, their 4
+bytes and the 8 of their own sort, done first. A str or bytes source
+adds its own UTF-8 bytes, and a file that cannot seek is read whole
+first. Nothing is sized by the header's counts. The .x3c reader (see
+x3c) tokenizes its chunks with the same code.
 
 Internally vertices are 0-based. Serialization is canonical: edges sorted
 lexicographically, terminals ascending, no comments. It is written a
@@ -77,6 +87,7 @@ import numpy as np
 
 from .errors import InvariantError, SstpParseError
 from .graph import Graph, RepeatedEdgeError, _csr, is_connected
+from .runs import _degrees, _first_repeat, _pieced, _repeated_row, _rows
 from .split import _degree_test
 
 MAX_DIGITS = 18  # 10**18 - 1 < 2**63
@@ -342,53 +353,20 @@ def _header(ck: _Chunk, first: int, count: int, tag: int,
     return n, m, t
 
 
-def _first_repeat(keys: list[np.ndarray]) -> tuple[np.ndarray, int] | None:
-    """(key as a one-item array, index) of the earliest item whose key an
-    earlier item has, from keys in pieces, items counted across the
-    pieces in order. One sort of the joined keys finds every repeated
-    key, with neighbours compared a block at a time, so that only the
-    joined keys and the repeated ones grow with the items; then only the
-    items with one are gathered."""
-    joined = np.concatenate(keys)
-    joined.sort()
-    step = 1 << 16
-    blocks = (joined[i:i + step + 1] for i in range(0, max(joined.size, 1), step))
-    repeated = np.concatenate([b[1:][b[1:] == b[:-1]] for b in blocks])
-    del joined
-    if not repeated.size:
-        return None
-    found, at, before = [], [], 0
-    for key in keys:
-        hit = np.flatnonzero(np.isin(key, repeated))
-        found.append(key[hit])
-        at.append(hit + before)
-        before += len(key)
-    found = np.concatenate(found)
-    later = np.ones(found.size, dtype=bool)
-    later[np.unique(found, return_index=True)[1]] = False
-    i = int(np.argmax(later))
-    return found[i:i + 1], int(np.concatenate(at)[i])
-
-
-def _edge_repeat(pairs: list[np.ndarray],
+def _edge_repeat(pieces: list[np.ndarray],
                  reread: Callable[[], Iterator[np.ndarray]]) -> SstpParseError | None:
     """The error for the earliest edge row that repeats an earlier one, if
-    any; its line is found by reading the source again (reread gives its
-    chunks afresh) and counting the well-formed edge lines."""
-    # each row (u, v) as one item, equal iff the rows are: its bytes as
-    # one integer for ids of 2 or 4 bytes (int32 shares the sort code of
-    # the CSR's keys), else as 16 bytes; no key like u * n + v is
-    # computed, so none can overflow
-    view = {2: np.int32, 4: np.int64}.get(pairs[0].itemsize, "V16")
-    found = _first_repeat([p.view(view)[:, 0] for p in pairs])
-    if found is None:
+    any (see runs._repeated_row); its line and ids are found by reading the
+    source again (reread gives its chunks afresh) and counting the
+    well-formed edge lines."""
+    row = _repeated_row(pieces)
+    if row is None:
         return None
-    u, v = found[0].view(pairs[0].dtype).tolist()
-    row = found[1]
     for _, (pair, pair_line, *_) in _scanned(reread()):
         if row < len(pair):
             break
         row -= len(pair)
+    u, v = pair[row].tolist()
     return SstpParseError(_MESSAGES[DUPLICATE_EDGE].format(val1=u + 1, val2=v + 1),
                           int(pair_line[row]))
 
@@ -471,18 +449,18 @@ def _scanned(chunks: Iterator[np.ndarray]) -> Iterator[tuple]:
         del data, ck, lines  # free this chunk before the next is read
 
 
-def _cross_rows(clique: np.ndarray, pairs: list[np.ndarray]) -> list[np.ndarray]:
-    """The rows of pairs that leave the clique, once the rows inside it
-    are shown to be distinct, and so to be all of its k(k-1)/2 pairs;
+def _cross_rows(clique: np.ndarray, pieces: list[np.ndarray]) -> list[np.ndarray]:
+    """The edge rows of pieces that leave the clique, once the rows inside
+    it are shown to be distinct, and so to be all of its k(k-1)/2 pairs;
     the degrees must pass the Hammer-Simeone test with this clique.
 
-    Each row inside the clique sets one bit of a bit-packed k x k
-    matrix, indexed by the endpoints' ranks in the clique; a bit set
-    twice is a repeated edge and raises RepeatedEdgeError. A row with
-    both ends outside needs no check of its own: the degree identity
-    gives e(C) - e(I) = k(k-1)/2 for a multigraph too, so such a row
-    makes some clique pair repeat. With no bit set twice, e(C) is then
-    k(k-1)/2 and e(I) is 0.
+    The pieces are expanded to rows one at a time (see runs._rows). Each row
+    inside the clique sets one bit of a bit-packed k x k matrix, indexed
+    by the endpoints' ranks in the clique; a bit set twice is a repeated
+    edge and raises RepeatedEdgeError. A row with both ends outside needs
+    no check of its own: the degree identity gives e(C) - e(I) = k(k-1)/2
+    for a multigraph too, so such a row makes some clique pair repeat.
+    With no bit set twice, e(C) is then k(k-1)/2 and e(I) is 0.
     """
     k = int(np.count_nonzero(clique))
     # each vertex's rank in the clique, -1 outside it
@@ -490,7 +468,7 @@ def _cross_rows(clique: np.ndarray, pairs: list[np.ndarray]) -> list[np.ndarray]
     rank[~clique] = -1
     marks = np.zeros((k * k + 7) // 8, dtype=np.uint8)
     cross, inside = [], 0
-    for p in pairs:
+    for p in map(_rows, pieces):
         ru, rv = rank.take(p[:, 0]), rank.take(p[:, 1])
         both = (ru | rv) >= 0
         ru *= k
@@ -511,42 +489,32 @@ def _cross_rows(clique: np.ndarray, pairs: list[np.ndarray]) -> list[np.ndarray]
     return cross
 
 
-def _graph(n: int, pairs: list[np.ndarray],
+def _graph(n: int, m: int, pieces: list[np.ndarray],
            reread: Callable[[], Iterator[np.ndarray]]) -> Graph:
-    """The graph whose edges are the rows of pairs; raises the
-    SstpParseError of the earliest row that repeats an earlier one (see
-    _edge_repeat, which reads the source again through reread).
+    """The graph whose m edges are the rows of pieces (see runs);
+    raises the SstpParseError of the earliest row that repeats an earlier
+    one (see _edge_repeat, which reads the source again through reread).
 
     Its degrees are counted first. When they pass the Hammer-Simeone
     test (see split), the k vertices it names are a clique and the rest
     an independent set, provided the graph is simple; _cross_rows proves
     that, and the graph is built in the split layout from its cross rows
-    alone. Otherwise a repeated row is looked for in the rows themselves
-    and, when there is none, the full CSR is built from them.
+    alone. Otherwise a repeated row is looked for in the pieces and,
+    when there is none, the full CSR is built from them, a piece's rows
+    at a time.
     """
-    # one bincount per run of pieces that holds n ids or more, so its
-    # n entries cost O(1) per id whatever the number of pieces
-    degrees = np.zeros(n, dtype=np.int64)
-    run, ids = [], 0
-    for i, p in enumerate(pairs, start=1):
-        run.append(p.ravel())
-        ids += p.size
-        if ids >= n or i == len(pairs):
-            degrees += np.bincount(np.concatenate(run) if len(run) > 1 else run[0],
-                                   minlength=n)
-            run, ids = [], 0
-    order, k, split = _degree_test(degrees)
+    order, k, split = _degree_test(_degrees(n, pieces))
     if not split:
         # before the CSR's sort keys, which take twice the rows' bytes
-        if (repeat := _edge_repeat(pairs, reread)) is not None:
+        if (repeat := _edge_repeat(pieces, reread)) is not None:
             raise repeat
-        return Graph(n, *_csr(n, pairs))
+        return Graph(n, *_csr(n, map(_rows, pieces), m))
     clique = np.zeros(n, dtype=bool)
     clique[order[:k]] = True
     try:
-        return Graph.from_cross_edges(clique, _cross_rows(clique, pairs))
+        return Graph.from_cross_edges(clique, _cross_rows(clique, pieces))
     except RepeatedEdgeError as exc:  # only the source knows the line
-        raise _edge_repeat(pairs, reread) or exc
+        raise _edge_repeat(pieces, reread) or exc
 
 
 def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
@@ -563,13 +531,14 @@ def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
     whole file first would, before any SstpParseError.
 
     One pass reads the source in chunks (see the module docstring) and
-    keeps, per chunk, the rows of edge ids, in the narrowest dtype that
-    holds n - 1, and the terminal ids with their line numbers. When no
-    line is malformed and the counts match the header, the graph is
-    built from those rows (see _graph), which also finds any repeated
-    edge. Edge rows carry no line numbers: only on that error path is
-    the source read a second time, up to the earliest repeated row, to
-    find its line. A file that cannot seek is therefore read whole first.
+    keeps, per chunk, its edge rows, ids in the narrowest dtype that
+    holds n - 1, as rows or as runs of consecutive ids (see runs),
+    and the terminal ids with their line numbers. When no line is
+    malformed and the counts match the header, the graph is built from
+    those pieces (see _graph), which also finds any repeated edge. Edge
+    rows carry no line numbers: only on that error path is the source
+    read a second time, up to the earliest repeated row, to find its
+    line. A file that cannot seek is therefore read whole first.
     """
     start = None  # where a file's SSTP text begins
     if not isinstance(source, (str, bytes)):
@@ -585,11 +554,12 @@ def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
 
     header: tuple[int, int, int] | None = None
     fault: SstpParseError | None = None
-    pairs, terminals, terminal_lines = [], [], []
+    pieces, terminals, terminal_lines, edges = [], [], [], 0
     chunks = _utf8_chunks(source)
     try:
         for header, (pair, _, x, x_line, fault) in _scanned(chunks):
-            pairs.append(pair)
+            edges += len(pair)
+            pieces.append(_pieced(pair))
             terminals.append(x)
             terminal_lines.append(x_line)
             if fault is not None:
@@ -607,18 +577,17 @@ def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
         _MESSAGES[DUPLICATE_TERMINAL].format(val1=int(repeat[0][0]) + 1),
         int(np.concatenate(terminal_lines)[repeat[1]]))
     x = np.concatenate(terminals)
-    edges = sum(map(len, pairs))
     if fault is None and repeated_terminal is None and edges == m and len(x) == t:
         # the header has m >= n - 1 and m rows were read, so the build is
         # sized by the input, not by the header alone
-        graph = _graph(n, pairs, reread)
-        del pairs
+        graph = _graph(n, m, pieces, reread)
+        del pieces
         try:
             return SteinerInstance(graph=graph, terminals=tuple(x.tolist()))
         except ValueError as exc:  # terminals were checked above: not connected
             raise SstpParseError(str(exc)) from exc
 
-    found = [fault, repeated_terminal, _edge_repeat(pairs, reread)]
+    found = [fault, repeated_terminal, _edge_repeat(pieces, reread)]
     found = [exc for exc in found if exc is not None]
     if found:
         raise min(found, key=lambda exc: exc.line)

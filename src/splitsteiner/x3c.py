@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import X3CParseError
 from .graph import Graph
-from .sstp import MAX_DIGITS, SteinerInstance, _Chunk, _first_repeat, _utf8_chunks
+from .runs import _first_repeat
+from .sstp import MAX_DIGITS, SteinerInstance, _Chunk, _utf8_chunks
 
 # uncovered ground elements named in reduce_x3c's error
 _LISTED = 10

@@ -16,6 +16,7 @@ from splitsteiner import (
     gen_split,
     graph,
     parse_instance,
+    runs,
     serialize_instance,
     split_partition,
     sstp,
@@ -207,6 +208,93 @@ def test_split_input_with_a_repeat_matches_reference(text):
     assert _outcome(parse_instance, text) == expected
     assert _outcome(_parse_file, text.encode()) == expected
     with mock.patch.object(sstp, "CHUNK_BYTES", 7):
+        assert _outcome(_parse_file, text.encode()) == expected
+
+
+@st.composite
+def sorted_split_files_with_a_repeat(draw):
+    """SSTP text of a connected split graph whose clique is a block of
+    consecutive ids, with its edge lines sorted, reversed, or sorted with
+    the repeat moved last, so that a chunk's rows form long runs (or, in
+    reverse, none). The repeat is put as in split_files_with_a_repeat,
+    its copy beside its first line, inside the run of its lower end."""
+    k = draw(st.integers(min_value=1, max_value=12))
+    b = draw(st.integers(min_value=0, max_value=12))
+    before = draw(st.integers(min_value=0, max_value=b))  # ids below the clique
+    clique, rest = list(range(before, before + k)), [*range(before), *range(before + k, k + b)]
+    edges = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
+    for x in rest:
+        edges += [(c, x) for c in sorted(draw(st.sets(st.sampled_from(clique), min_size=1)))]
+    kind = draw(st.sampled_from(["clique", "cross", "independent", "swap"]))
+    copy = None
+    if kind == "independent" and b >= 2:
+        copy = tuple(rest[:2])
+        edges.append(copy)
+    elif kind == "swap" and len(edges) >= 2:
+        i, j = draw(st.lists(st.integers(0, len(edges) - 1), min_size=2, max_size=2,
+                             unique=True))
+        (p, q), (r, s) = edges[i], edges[j]
+        if len({p, q, r, s}) == 4:
+            edges[i], edges[j] = (p, r), (q, s)
+    else:
+        inside = [e for e in edges if (e[1] in clique) == (kind == "clique")]
+        if inside:
+            copy = draw(st.sampled_from(inside))
+    lines = sorted((min(u, v) + 1, max(u, v) + 1) for u, v in edges)
+    order = draw(st.sampled_from(["sorted", "reversed", "copy last"]))
+    if copy is not None:
+        copy = (min(copy) + 1, max(copy) + 1)
+        lines.insert(lines.index(copy), copy)
+        if order == "copy last":
+            lines.remove(copy)
+            lines.append(copy)
+    if order == "reversed":
+        lines.reverse()
+    terminals = draw(st.lists(st.sampled_from(range(k + b)), unique=True))
+    text = [f"p sstp {k + b} {len(lines)} {len(terminals)}"]
+    text += [f"e {u} {v}" for u, v in lines]
+    text += [f"t {x + 1}" for x in terminals]
+    return "\n".join(text) + "\n"
+
+
+@given(sorted_split_files_with_a_repeat())
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+def test_sorted_split_input_with_a_repeat_matches_reference(text):
+    """On sorted split files with a repeat in a run, the parse of text,
+    and of an open file in whole and in 7- and 64-byte chunks, gives what
+    the line-by-line reference gives: the instance, or the same line and
+    message."""
+    expected = _outcome(reference_parse, text)
+    assert _outcome(parse_instance, text) == expected
+    assert _outcome(_parse_file, text.encode()) == expected
+    for chunk in (7, 64):
+        with mock.patch.object(sstp, "CHUNK_BYTES", chunk):
+            assert _outcome(_parse_file, text.encode()) == expected
+
+
+def test_run_across_the_row_width_boundary():
+    """At n = 65,537, where ids are uint32, vertex 1's higher neighbours
+    are one run of 65,536 rows from id 2 to 65,537, across 65,536, the
+    last id a uint16 holds. It is kept as the run (0, 1, 65536), and the
+    file, the same with a line of the run given twice, and the same with
+    a copy of a line of the run moved to the end all parse as the
+    line-by-line reference parses them."""
+    n = 65537
+    rows = np.array([(0, v) for v in range(1, n)], dtype=sstp._id_dtype(n))
+    assert rows.dtype == np.uint32
+    assert runs._pieced(rows).tolist() == [[0, 1, n - 1]]
+    edges = [f"e 1 {v}\n" for v in range(2, n + 1)] + [f"e 2 {n}\n"]
+    valid = f"p sstp {n} {n} 2\n" + "".join(edges) + f"t 2\nt {n}\n"
+    inside = valid.replace("e 1 65536\n", "e 1 65536\n" * 2).replace(
+        f"p sstp {n} {n}", f"p sstp {n} {n + 1}")
+    last = inside.replace("e 1 65536\n" * 2, "e 1 65536\n").replace(
+        f"e 2 {n}\n", f"e 2 {n}\ne 1 65537\n")
+    assert _outcome(parse_instance, valid) == _outcome(reference_parse, valid)
+    assert _outcome(parse_instance, valid)[0] == "instance"
+    for text, line in ((inside, 65537), (last, n + 2)):
+        expected = _outcome(reference_parse, text)
+        assert expected[:2] == ("error", line)
+        assert _outcome(parse_instance, text) == expected
         assert _outcome(_parse_file, text.encode()) == expected
 
 
@@ -737,11 +825,12 @@ def test_parse_memory_grows_with_edges_not_bytes():
     and 245k edges stays under A bytes per edge plus B per chunk byte.
 
     Measured (Python 3.11, numpy 2.4): the peak falls in the last chunk's
-    tokenizing and grows by about 14 bytes per edge, the text's UTF-8 copy
-    (10) and the rows (4), plus about 12 per chunk byte for one chunk's
-    temporaries. A and B leave more than twice that. A parser holding
-    whole-text temporaries peaks at about 200 bytes per edge (20 per input
-    byte) and fails both bounds.
+    tokenizing and grows by about 10 bytes per edge, the text's UTF-8
+    copy, plus about 12 per chunk byte for one chunk's temporaries; the
+    rows of these sorted files are held as runs. Holding the rows took 4
+    bytes per edge more. A and B leave more than twice that. A parser
+    holding whole-text temporaries peaks at about 200 bytes per edge (20
+    per input byte) and fails both bounds.
     """
     per_edge, per_chunk_byte = 90, 32
     measured = []
@@ -786,10 +875,11 @@ def test_parse_from_a_file_holds_rows_not_bytes(tmp_path):
     """The tracemalloc peak of parse_instance on open gen files of about
     245k and 500k edges grows by at most 6 bytes per edge between them.
 
-    Measured (Python 3.11, numpy 2.4): about 4.0. Both peaks are the last
-    chunk's tokenizing, and between them only the rows grow: two uint16
-    ids per edge (4 bytes). The split graph is then built from its cross
-    edges alone. Keeping an int32 line number per edge as well would
+    Measured (Python 3.11, numpy 2.4): about 0.03, since these sorted
+    files are held as runs (see the next test). Both peaks are the last
+    chunk's tokenizing. The split graph is then built from its cross
+    edges alone. Holding the rows, two uint16 ids per edge, grew by
+    about 4.0, and keeping an int32 line number per edge as well would
     grow by about 8; the parse that built the full CSR of split input
     from int32 rows and line numbers grew by about 15.
     """
@@ -798,6 +888,24 @@ def test_parse_from_a_file_holds_rows_not_bytes(tmp_path):
                                   level=2, seed=1)) for clique in (700, 1000)))
     assert m2 > 2 * m1
     assert (peak2 - peak1) / (m2 - m1) <= 6
+
+
+def test_parse_of_a_sorted_file_holds_runs_not_rows(tmp_path):
+    """The tracemalloc peak of parse_instance on open, sorted gen files
+    with |C| = 500 and 1000 (about 125k and 500k edges) grows by under 1
+    byte per added edge.
+
+    A sorted file's edge rows are mostly a clique vertex's consecutive
+    higher neighbours, which a chunk keeps as runs of three ids each.
+    Measured (Python 3.11, numpy 2.4): about 0.02, with both peaks near
+    1.03 MB, in the last chunk's tokenizing. Holding the rows grew by
+    about 4.0, their two uint16 ids per edge.
+    """
+    (m1, peak1), (m2, peak2) = _parse_peaks(tmp_path, (
+        gen_split(GeneratorConfig(clique_size=clique, independent_size=clique,
+                                  level=2, seed=1)) for clique in (500, 1000)))
+    assert m2 > 3.9 * m1
+    assert (peak2 - peak1) / (m2 - m1) < 1
 
 
 def _cycle_join_clique(k: int) -> SteinerInstance:
@@ -815,10 +923,11 @@ def test_parse_of_a_graph_that_is_not_split_holds_rows_and_keys(tmp_path):
     and 500k edges that are not split grows by at most 24 bytes per edge
     between them.
 
-    Measured (Python 3.11, numpy 2.4): about 14. At both files the peak
-    is the CSR build: uint16 rows (4 bytes per edge), int32 sort
-    keys (8), which become the CSR indices, and a mask comparing
-    neighbouring keys.
+    Measured (Python 3.11, numpy 2.4): about 10. At both files the peak
+    is the CSR build: int32 sort keys (8 bytes per edge), which become
+    the CSR indices, and a mask comparing neighbouring keys. The rows of
+    these sorted files are held as runs and expanded a piece at a time;
+    holding them as uint16 rows grew by about 14.
     """
     (m1, peak1), (m2, peak2) = _parse_peaks(
         tmp_path, (_cycle_join_clique(k) for k in (700, 1000)))
@@ -852,13 +961,15 @@ def test_duplicate_edge_costs_no_more_memory_than_a_valid_file(tmp_path):
     its first is reported at that line, and the tracemalloc peak of its
     parse stays within the valid file's plus 8 bytes per chunk byte.
 
-    Measured (Python 3.11, numpy 2.4): 1.8 MB for the valid file and
-    2.1 MB for this one, whose degrees fail the split test: its rows are
-    sorted once more, 4 bytes per edge, and the repeat is found before
-    any key of the full CSR is made. Making those sort keys (8 bytes per
-    edge) first, as the parse once did, peaked at 3.5 MB; joining every
-    row and line number to sort them peaked 4 MB (16 bytes per edge)
-    above the valid file.
+    Measured (Python 3.11, numpy 2.4): 1.02 MB for the valid file and
+    1.09 MB for this one, whose degrees fail the split test: its rows are
+    held as runs, and only the rows that meet the repeat, the first run
+    and the last row, are gathered to find it, before any key of the
+    full CSR is made. Sorting every row once more, 4 bytes per edge, peaked
+    at 2.1 against 1.8 MB; making those sort keys (8 bytes per edge)
+    first, as the parse once did, peaked at 3.5 MB; joining every row
+    and line number to sort them peaked 4 MB (16 bytes per edge) above
+    the valid file.
     """
     text = serialize_instance(gen_split(GeneratorConfig(
         clique_size=700, independent_size=700, level=2, seed=1)))
