@@ -9,8 +9,10 @@ dtype, so a piece of runs is a (q, 3) array. Files that are sorted, as
 gen, reduce-x3c and serialize_instance write them, hold long runs (a
 vertex's higher neighbours), and their pieces take a few bytes per run
 rather than 4 per edge; relabeled files average 2 rows a run and keep
-their rows. Each chunk chooses from its own rows alone; no option
-selects between the two.
+their rows. Each chunk chooses from its own rows alone. Once a parse's
+pieces outgrow an adjacency bit matrix of the n vertices, they move
+into it (see bits), the third form, chosen from the bytes held alone;
+no option selects between the three.
 
 The pieces are read one at a time: _degrees counts degrees from them,
 _rows expands one to its rows for the graph's build, and _repeated_row

@@ -33,15 +33,21 @@ of rows (u, v), (u, v + 1), ... with one u, held as its first row and
 its length. In a sorted file, as gen, reduce-x3c and serialize_instance
 write, runs are a vertex's higher neighbours: 124 to 251 rows a run on
 average on the gen files of the benchmark. Other chunks keep their
-rows, 4 bytes per edge while the ids are uint16. No line number is kept
-per edge.
+rows, 4 bytes per edge while the ids are uint16. Once the pieces a
+parse holds pass the bytes of an n x ceil(n/8) adjacency bit matrix's
+upper triangle, about n**2 / 16 (see bits), plus CHUNK_BYTES, they move
+into that matrix in file order, and each later chunk sets its rows'
+bits there and drops them. No line number is kept per edge.
 
 The graph is then built from these pieces (see _graph), each expanded
-to rows only while it is read. Their degrees are counted first, a piece
-at a time. When the Hammer-Simeone test (see split) passes, the rows are
-classed a piece at a time: clique pairs each set a bit of a bit-packed
-k x k matrix, and the cross rows, between the clique and the rest, are
-kept. Once no bit is set twice and no cross row repeats, the graph is
+to rows only while it is read, or from the bit matrix, which counts
+degrees and finds the earliest repeated row as its bits are set and is
+read back a block of rows at a time. The pieces' degrees are counted
+first, a piece at a time. When the Hammer-Simeone test (see split)
+passes, the rows are classed a piece at a time: clique pairs each set
+a bit of a bit-packed k x k matrix, and the cross rows, between the
+clique and the rest, are kept. Once no bit is set twice and no cross
+row repeats, the graph is
 simple: the degree identity, which holds for a multigraph too, leaves no
 row between two vertices outside the clique and makes the clique
 complete. It is stored in the split layout (see graph), from its cross
@@ -57,10 +63,15 @@ Parsing an open file therefore holds one chunk of text (CHUNK_BYTES
 bytes and the rest of a line) and its temporaries, about 12 bytes per
 chunk byte, plus the pieces, and never the file's bytes. While n <=
 65,536 a run takes 6 bytes, under 0.05 bytes per edge on a sorted gen
-file, and a row kept as a row 4. A split graph adds k**2 / 8 bytes of
-bits, where k(k - 1) <= 2m, and its cross rows: on a sorted gen file of
-0.5M edges the parse peaks at about 1.0 MB under tracemalloc, 2 bytes
-per edge, nearly all of it the last chunk's tokenizing. Any other graph
+file, and a row kept as a row 4, until the pieces outgrow the bit
+matrix: from then on the edges take its n**2 / 16 bytes however many
+lines follow, and while the pieces move into it both are held. A split
+graph held as pieces adds k**2 / 8 bytes of bits, where k(k - 1) <= 2m,
+and its cross rows: on a sorted gen file of 0.5M edges the parse peaks
+at about 1.0 MB under tracemalloc, 2 bytes per edge, nearly all of it
+the last chunk's tokenizing. On a relabeled one, whose chunks keep
+rows, it peaks at about 1.2 MB, the matrix and a chunk's tokenizing,
+where holding the rows took 2.8 MB. Any other graph
 adds the sort keys and a mask over them: about 10 bytes per edge while
 n < 46,341 and about 26 from there on (int64 keys, then the int32
 indices written beside them), plus, for rows kept as rows, their 4
@@ -81,7 +92,7 @@ import io
 import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import BinaryIO, TextIO
+from typing import TYPE_CHECKING, BinaryIO, TextIO
 
 import numpy as np
 
@@ -89,6 +100,9 @@ from .errors import InvariantError, SstpParseError
 from .graph import Graph, RepeatedEdgeError, _csr, is_connected
 from .runs import _degrees, _first_repeat, _pieced, _repeated_row, _rows
 from .split import _degree_test
+
+if TYPE_CHECKING:  # imported at run time only by a parse that switches to it
+    from .bits import EdgeBits
 
 MAX_DIGITS = 18  # 10**18 - 1 < 2**63
 # bytes per chunk of the parse, chosen by measurement (BENCH_chunk_size.json)
@@ -353,13 +367,13 @@ def _header(ck: _Chunk, first: int, count: int, tag: int,
     return n, m, t
 
 
-def _edge_repeat(pieces: list[np.ndarray],
+def _edge_repeat(pieces: list[np.ndarray] | EdgeBits,
                  reread: Callable[[], Iterator[np.ndarray]]) -> SstpParseError | None:
     """The error for the earliest edge row that repeats an earlier one, if
-    any (see runs._repeated_row); its line and ids are found by reading the
-    source again (reread gives its chunks afresh) and counting the
-    well-formed edge lines."""
-    row = _repeated_row(pieces)
+    any (see runs._repeated_row, or the row an EdgeBits recorded); its
+    line and ids are found by reading the source again (reread gives its
+    chunks afresh) and counting the well-formed edge lines."""
+    row = _repeated_row(pieces) if isinstance(pieces, list) else pieces.repeat
     if row is None:
         return None
     for _, (pair, pair_line, *_) in _scanned(reread()):
@@ -369,6 +383,15 @@ def _edge_repeat(pieces: list[np.ndarray],
     u, v = pair[row].tolist()
     return SstpParseError(_MESSAGES[DUPLICATE_EDGE].format(val1=u + 1, val2=v + 1),
                           int(pair_line[row]))
+
+
+def _bit_matrix_bytes(n: int) -> int:
+    """The bytes of the adjacency bit matrix of n vertices (see bits):
+    n rows of ceil(n/8) bytes, less the first 8 * ((u + 1) >> 6) bytes of
+    each row u, which hold no column above u. It is worked out here, not
+    in bits, so that a parse that never switches need not import it."""
+    q, r = n >> 6, n & 63
+    return n * ((n + 7) >> 3) - 8 * (32 * q * (q - 1) + q * (r + 1))
 
 
 def _id_dtype(n: int) -> type:
@@ -444,9 +467,28 @@ def _scanned(chunks: Iterator[np.ndarray]) -> Iterator[tuple]:
         if header is None and lines[0].size:
             header = _header(ck, *(int(col[0]) for col in lines))
             lines = tuple(col[1:] for col in lines)
-        if header is not None:
-            yield header, _scan(ck, *lines, header[0])
-        del data, ck, lines  # free this chunk before the next is read
+        scanned = None if header is None else _scan(ck, *lines, header[0])
+        del data, ck, lines  # free this chunk before its rows are kept
+        if scanned is not None:
+            yield header, scanned
+
+
+def _set_bits(marks: np.ndarray, bit: np.ndarray) -> bool:
+    """Whether any item of bit, a sorted non-empty array of bit indices
+    into marks, a bit-packed uint8 array (bit b is bit b & 7 of byte
+    b >> 3), repeats: is given twice or set already. When none does,
+    their bits are set."""
+    byte = bit >> 3
+    # the bits of each byte joined first: the bytes then repeat none
+    first = np.concatenate(([0], (byte[1:] != byte[:-1]).nonzero()[0] + 1))
+    at = byte.take(first)
+    new = np.bitwise_or.reduceat(np.left_shift(1, bit & 7).astype(np.uint8), first)
+    old = marks.take(at)
+    if (bit[1:] == bit[:-1]).any() or (old & new).any():
+        return True
+    old |= new
+    marks[at] = old
+    return False
 
 
 def _cross_rows(clique: np.ndarray, pieces: list[np.ndarray]) -> list[np.ndarray]:
@@ -476,12 +518,8 @@ def _cross_rows(clique: np.ndarray, pieces: list[np.ndarray]) -> list[np.ndarray
         bit = ru[both]
         if bit.size:
             bit.sort()
-            byte, mask = bit >> 3, np.left_shift(1, bit & 7).astype(np.uint8)
-            if (bit[1:] == bit[:-1]).any() or (marks[byte] & mask).any():
+            if _set_bits(marks, bit):
                 raise RepeatedEdgeError("a clique edge repeats")
-            # the bits of each byte joined first: the bytes then repeat none
-            first = np.concatenate(([0], (byte[1:] != byte[:-1]).nonzero()[0] + 1))
-            marks[byte.take(first)] |= np.bitwise_or.reduceat(mask, first)
         inside += bit.size
         cross.append(p[~both])
     if inside != k * (k - 1) // 2:
@@ -489,28 +527,35 @@ def _cross_rows(clique: np.ndarray, pieces: list[np.ndarray]) -> list[np.ndarray
     return cross
 
 
-def _graph(n: int, m: int, pieces: list[np.ndarray],
+def _graph(n: int, m: int, pieces: list[np.ndarray] | EdgeBits,
            reread: Callable[[], Iterator[np.ndarray]]) -> Graph:
-    """The graph whose m edges are the rows of pieces (see runs);
-    raises the SstpParseError of the earliest row that repeats an earlier
-    one (see _edge_repeat, which reads the source again through reread).
+    """The graph whose m edges are the rows of pieces (see runs), or the
+    bits of an EdgeBits (see bits); raises the SstpParseError of the
+    earliest row that repeats an earlier one (see _edge_repeat, which
+    reads the source again through reread).
 
     Its degrees are counted first. When they pass the Hammer-Simeone
     test (see split), the k vertices it names are a clique and the rest
     an independent set, provided the graph is simple; _cross_rows proves
-    that, and the graph is built in the split layout from its cross rows
+    that, or an EdgeBits, which has found any repeat as its bits were
+    set, and the graph is built in the split layout from its cross rows
     alone. Otherwise a repeated row is looked for in the pieces and,
     when there is none, the full CSR is built from them, a piece's rows
     at a time.
     """
-    order, k, split = _degree_test(_degrees(n, pieces))
-    if not split:
-        # before the CSR's sort keys, which take twice the rows' bytes
+    listed = isinstance(pieces, list)
+    order, k, split = _degree_test(_degrees(n, pieces) if listed else pieces.degrees)
+    if not (split and listed):
+        # before the CSR's sort keys, which take twice the rows' bytes; an
+        # EdgeBits has found its repeat as its bits were set
         if (repeat := _edge_repeat(pieces, reread)) is not None:
             raise repeat
-        return Graph(n, *_csr(n, map(_rows, pieces), m))
+    if not split:
+        return Graph(n, *_csr(n, map(_rows, pieces) if listed else pieces.rows(), m))
     clique = np.zeros(n, dtype=bool)
     clique[order[:k]] = True
+    if not listed:
+        return Graph.from_cross_edges(clique, pieces.cross_rows(clique))
     try:
         return Graph.from_cross_edges(clique, _cross_rows(clique, pieces))
     except RepeatedEdgeError as exc:  # only the source knows the line
@@ -533,12 +578,16 @@ def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
     One pass reads the source in chunks (see the module docstring) and
     keeps, per chunk, its edge rows, ids in the narrowest dtype that
     holds n - 1, as rows or as runs of consecutive ids (see runs),
-    and the terminal ids with their line numbers. When no line is
-    malformed and the counts match the header, the graph is built from
-    those pieces (see _graph), which also finds any repeated edge. Edge
-    rows carry no line numbers: only on that error path is the source
-    read a second time, up to the earliest repeated row, to find its
-    line. A file that cannot seek is therefore read whole first.
+    and the terminal ids with their line numbers. Once those pieces
+    take more bytes than an adjacency bit matrix of the n vertices plus
+    CHUNK_BYTES, they move into the matrix, and later chunks set its bits
+    (see bits); the switch depends on the bytes held alone. When no line
+    is malformed and the counts match the header, the graph is built
+    from the pieces or the matrix (see _graph), which also finds any
+    repeated edge. Edge rows carry no line numbers: only on that error
+    path is the source read a second time, up to the earliest repeated
+    row, to find its line. A file that cannot seek is therefore read
+    whole first.
     """
     start = None  # where a file's SSTP text begins
     if not isinstance(source, (str, bytes)):
@@ -554,12 +603,23 @@ def parse_instance(source: str | bytes | BinaryIO) -> SteinerInstance:
 
     header: tuple[int, int, int] | None = None
     fault: SstpParseError | None = None
-    pieces, terminals, terminal_lines, edges = [], [], [], 0
+    pieces: list[np.ndarray] | EdgeBits = []
+    terminals, terminal_lines, edges, held = [], [], 0, 0
     chunks = _utf8_chunks(source)
     try:
         for header, (pair, _, x, x_line, fault) in _scanned(chunks):
             edges += len(pair)
-            pieces.append(_pieced(pair))
+            if isinstance(pieces, list):
+                pieces.append(_pieced(pair))
+                held += pieces[-1].nbytes
+                n = header[0]
+                if held > _bit_matrix_bytes(n) + CHUNK_BYTES:
+                    # only here, so that a parse that never switches
+                    # does not compile the module
+                    from .bits import EdgeBits
+                    pieces = EdgeBits(n, pieces)
+            else:
+                pieces.add(pair)
             terminals.append(x)
             terminal_lines.append(x_line)
             if fault is not None:

@@ -1,5 +1,6 @@
 import io
 import re
+import sys
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from splitsteiner import (
     GeneratorConfig,
     Graph,
+    InvariantError,
     SstpParseError,
     SteinerInstance,
     gen_split,
@@ -296,6 +298,203 @@ def test_run_across_the_row_width_boundary():
         assert expected[:2] == ("error", line)
         assert _outcome(parse_instance, text) == expected
         assert _outcome(_parse_file, text.encode()) == expected
+
+
+@st.composite
+def relabeled_files_with_a_repeat(draw):
+    """SSTP text of a connected graph whose ids are permuted, so that a
+    chunk's rows form few runs and are kept as rows until they outgrow
+    the bit matrix (see bits): a split graph, as in
+    split_files_with_a_repeat, or a random tree with more edges, most of
+    which are not split. A copy of one edge line is put at a drawn place,
+    so that, in small chunks, the repeat falls before the chunk in which
+    the parse switches to the matrix, in that chunk, or after it; or two
+    edges are swapped, or the file is left valid."""
+    n = draw(st.integers(min_value=2, max_value=16))
+    ids = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=1, max_value=n))
+        clique, rest = ids[:k], ids[k:]
+        edges = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
+        for x in rest:
+            edges += [(c, x) for c in sorted(draw(st.sets(st.sampled_from(clique),
+                                                          min_size=1)))]
+    else:
+        tree = {(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)}
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = sorted({(min(e), max(e)) for e in tree}
+                       | set(draw(st.lists(st.sampled_from(pairs), max_size=3 * n))))
+    edges = draw(st.permutations(edges))
+    kind = draw(st.sampled_from(["copy", "swap", "none"]))
+    if kind == "copy":
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(edges)))
+    elif kind == "swap" and len(edges) >= 2:
+        i, j = draw(st.lists(st.integers(0, len(edges) - 1), min_size=2, max_size=2,
+                             unique=True))
+        (p, q), (r, s) = edges[i], edges[j]
+        if len({p, q, r, s}) == 4:
+            edges[i], edges[j] = (p, r), (q, s)
+    terminals = draw(st.lists(st.sampled_from(ids), unique=True))
+    lines = [f"p sstp {n} {len(edges)} {len(terminals)}"]
+    lines += [f"e {min(u, v) + 1} {max(u, v) + 1}" for u, v in edges]
+    lines += [f"t {x + 1}" for x in terminals]
+    return "\n".join(lines) + "\n"
+
+
+@given(relabeled_files_with_a_repeat())
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+def test_relabeled_input_with_a_repeat_matches_reference(text):
+    """On relabeled files, split or not, with a repeat on either side of
+    the switch to the bit matrix or in the chunk that makes it, the parse
+    of text, and of an open file at the default CHUNK_BYTES and in 7- and
+    64-byte chunks, gives what the line-by-line reference gives: the
+    instance, or the same line and message."""
+    expected = _outcome(reference_parse, text)
+    assert _outcome(parse_instance, text) == expected
+    for chunk in (7, 64, sstp.CHUNK_BYTES):
+        with mock.patch.object(sstp, "CHUNK_BYTES", chunk):
+            assert _outcome(_parse_file, text.encode()) == expected
+
+
+def _relabeled(inst: SteinerInstance, seed: int) -> SteinerInstance:
+    """inst with its ids permuted at random, so that its canonical file,
+    sorted by the new ids, has about two rows a run."""
+    u, v = inst.graph.edge_arrays()
+    perm = np.random.default_rng(seed).permutation(inst.graph.n)
+    return SteinerInstance(
+        graph=Graph.from_edges(inst.graph.n, np.stack((perm[u], perm[v]), axis=1)),
+        terminals=tuple(perm[list(inst.terminals)].tolist()))
+
+
+def _switch_rows(monkeypatch) -> list[tuple[int, int]]:
+    """A list that gets, for each parse that switches to the bit matrix,
+    the first and the last edge row, counted from 0, of the chunk that
+    makes the switch."""
+    from splitsteiner import bits
+
+    switches = []
+    init = bits.EdgeBits.__init__
+
+    def recorded(self, n, pieces):
+        rows = [len(runs._rows(p)) for p in pieces]
+        init(self, n, pieces)
+        switches.append((sum(rows[:-1]), sum(rows) - 1))
+
+    monkeypatch.setattr(bits.EdgeBits, "__init__", recorded)
+    return switches
+
+
+@pytest.mark.parametrize("name", ["split", "not split"])
+def test_repeat_before_in_and_after_the_chunk_that_switches(monkeypatch, name):
+    """A relabeled file with a copy of its first edge line put after each
+    of its edge lines in turn parses, in 64-byte chunks, as the
+    line-by-line reference parses it, and the copies fall before the
+    chunk in which the parse switches to the bit matrix, in it and after
+    it."""
+    inst = _relabeled(gen_split(GeneratorConfig(clique_size=10, independent_size=8,
+                                                level=2, seed=2)), seed=5)
+    g = inst.graph
+    if name == "not split":
+        # the first pair whose edge makes the degree test fail
+        for a, b in zip(*np.triu_indices(g.n, 1)):
+            degrees = g.degrees().copy()
+            degrees[[a, b]] += 1
+            if not g.has_edges(a[None], b[None])[0] and not _degree_test(degrees)[2]:
+                break
+        g = Graph.from_edges(g.n, np.concatenate((np.stack(g.edge_arrays(), axis=1),
+                                                  [(a, b)])))
+        inst = SteinerInstance(graph=g, terminals=inst.terminals)
+        assert not _degree_test(g.degrees())[2]
+    lines = serialize_instance(inst).splitlines(keepends=True)
+    edges, rest = lines[1:g.m + 1], lines[g.m + 1:]
+    header = f"p sstp {g.n} {g.m + 1} {len(inst.terminals)}\n"
+    switches = _switch_rows(monkeypatch)
+    monkeypatch.setattr(sstp, "CHUNK_BYTES", 64)
+    where = set()
+    for at in range(1, len(edges) + 1):
+        text = header + "".join(edges[:at] + edges[:1] + edges[at:] + rest)
+        expected = _outcome(reference_parse, text)
+        assert expected[:2] == ("error", at + 2)
+        assert _outcome(_parse_file, text.encode()) == expected
+        first, last = switches.pop()
+        where.add("before" if at < first else "in" if at <= last else "after")
+    assert where == {"before", "in", "after"}
+
+
+@pytest.mark.parametrize("text,switches", [
+    ("p sstp 1 0 0\n", False),
+    ("p sstp 1 0 1\n# c\nt 1\n", False),
+    ("p sstp 1 0 0\ne 1 2\n", False),
+    ("p sstp 2 1 1\ne 1 2\n# c\n\nt 2\n", True),
+    ("p sstp 2 2 0\ne 1 2\ne 1 2\n", True),
+    ("p sstp 2 1 0\ne 1 2\ne 1 2 3\n", True),
+    ("p sstp 3 2 0\ne 1 2\n", False),
+    ("p sstp 3 2 1\ne 2 3\n# c\ne 1 3\nt 1\n", True),
+    ("p sstp 3 3 0\ne 1 2\ne 1 3\ne 2 3\n", True),
+    ("p sstp 3 3 0\ne 1 2\ne 2 3\ne 1 2\n", True),
+    ("p sstp 3 3 2\ne 1 3\n# c\ne 2 3\ne 1 2\nt 3\nt 3\n", True),
+])
+def test_smallest_graphs_in_one_byte_chunks(monkeypatch, text, switches):
+    """At n = 1, 2 and 3 the bit matrix takes n bytes and a row 4, so,
+    read a byte and a line at a time, a file switches to the matrix at
+    its first edge line when n = 2 and at its second when n = 3, and the
+    chunks after the switch hold one row or none. Each file parses, from
+    text and from an open file, as the line-by-line reference parses
+    it."""
+    made = _switch_rows(monkeypatch)
+    monkeypatch.setattr(sstp, "CHUNK_BYTES", 1)
+    expected = _outcome(reference_parse, text)
+    assert _outcome(parse_instance, text) == expected
+    assert _outcome(_parse_file, text.encode()) == expected
+    assert len(made) == 2 * switches
+
+
+def test_ids_of_64_bits_never_switch(monkeypatch):
+    """Past n = 2**32 ids are int64 and the bit matrix would take about
+    n**2 / 16 bytes, so no parse switches to it: files of many edge lines
+    read a line at a time end as they did, and the module is not
+    imported (it is made unimportable here)."""
+    monkeypatch.setitem(sys.modules, "splitsteiner.bits", None)
+    monkeypatch.setattr(sstp, "CHUNK_BYTES", 1)
+    head = "p sstp 8589934592 8589934591 0\n"
+    edges = "".join(f"e {u} 8589934592\n" for u in range(1, 200))
+    for body, line, message in [
+        (edges, None, "header promises 8589934591 edges, found 199"),
+        (edges + "e 7 8589934592\n", 201, "line 201: duplicate edge (7, 8589934592)"),
+    ]:
+        with pytest.raises(SstpParseError) as exc:
+            parse_instance(head + body)
+        assert (exc.value.line, str(exc.value)) == (line, message)
+
+
+def test_bit_matrix_size():
+    """The switch's bound (sstp._bit_matrix_bytes) is the size of the
+    matrix that bits allocates, and about n**2 / 16 bytes; every pair
+    u < v has its own bit."""
+    from splitsteiner.bits import EdgeBits
+
+    for n in [*range(1, 200), 1000, 2003, 7000]:
+        matrix = EdgeBits(n, [np.zeros((0, 2), dtype=np.uint16)])
+        assert matrix.bits.size == sstp._bit_matrix_bytes(n)
+        assert n * n / 16 <= matrix.bits.size <= n * n / 16 + 5 * n
+    for n in (2, 63, 64, 65, 129, 200):
+        iu, ju = np.triu_indices(n, 1)
+        pair = np.stack((iu, ju), axis=1).astype(np.uint16)
+        matrix = EdgeBits(n, [pair[::-1].copy()])
+        assert matrix.repeat is None and (matrix.degrees == n - 1).all()
+        assert np.array_equal(np.concatenate(list(matrix.rows())), pair)
+
+
+def test_incomplete_clique_raises_invariant_error():
+    """The cross rows of a bit matrix are read only for a clique the
+    degree test passed, which the degree identity makes complete; a
+    clique that is not complete raises InvariantError, under python -O
+    too."""
+    from splitsteiner.bits import EdgeBits
+
+    matrix = EdgeBits(4, [np.array([[0, 1], [1, 2], [2, 3]], dtype=np.uint16)])
+    with pytest.raises(InvariantError, match="clique is not complete"):
+        matrix.cross_rows(np.array([True, True, True, False]))
 
 
 @pytest.mark.parametrize("chunk", [7, 64, sstp.CHUNK_BYTES])
@@ -906,6 +1105,59 @@ def test_parse_of_a_sorted_file_holds_runs_not_rows(tmp_path):
                                   level=2, seed=1)) for clique in (500, 1000)))
     assert m2 > 3.9 * m1
     assert (peak2 - peak1) / (m2 - m1) < 1
+
+
+def test_parse_of_a_relabeled_file_holds_a_bit_matrix(tmp_path):
+    """The tracemalloc peak of parse_instance on open, relabeled gen
+    files with |C| = 500 and 1000 (about 125k and 500k edges) grows by
+    under 1 byte per added edge.
+
+    Their chunks keep rows, 4 bytes per edge, until the rows outgrow the
+    bit matrix, about n**2 / 16 bytes, which then holds every edge.
+    Measured (Python 3.11, numpy 2.4): about 0.34, with peaks of 1.04 and
+    1.17 MB in a chunk's tokenizing beside the matrix. Holding the rows
+    grew by about 3.7.
+    """
+    (m1, peak1), (m2, peak2) = _parse_peaks(tmp_path, (
+        _relabeled(gen_split(GeneratorConfig(clique_size=clique, independent_size=clique,
+                                             level=2, seed=1)), seed=clique)
+        for clique in (500, 1000)))
+    assert m2 > 3.9 * m1
+    assert (peak2 - peak1) / (m2 - m1) < 1
+
+
+@pytest.mark.parametrize("chunk", [1, sstp.CHUNK_BYTES])
+def test_header_alone_allocates_no_bit_matrix(monkeypatch, chunk):
+    """A header of a million vertices, whose bit matrix would take 62.5
+    GB, before three edge lines: the parse reports the missing edges and
+    peaks under 1 MB of tracemalloc, as the rows never outgrow the
+    matrix."""
+    monkeypatch.setattr(sstp, "CHUNK_BYTES", chunk)
+    text = "p sstp 1000000 999999 0\ne 1 2\ne 2 3\ne 3 4\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(SstpParseError, match=r"^header promises 999999 edges, found 3$"):
+            parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sstp._bit_matrix_bytes(10**6) > 6 * 10**10
+    assert peak < 1 << 20
+
+
+def test_benchmark_files_never_switch(monkeypatch):
+    """The sorted gen files of |C| = 1000 that the dense-file benchmark
+    parses, and a relabeled C5 joined to K_120 like those that the
+    nonsplit-check benchmark checks, keep their rows as runs, far below
+    the bit matrix, so their parses never import the module that holds
+    it (made unimportable here)."""
+    monkeypatch.setitem(sys.modules, "splitsteiner.bits", None)
+    files = [gen_split(GeneratorConfig(clique_size=1000, independent_size=indep,
+                                       level=level, k14_free=level == 3, seed=seed))
+             for level, indep, seed in ((1, 900, 3), (2, 1500, 4), (3, 1001, 5))]
+    files.append(_relabeled(_cycle_join_clique(120), seed=6))
+    for inst in files:
+        assert parse_instance(serialize_instance(inst)).graph == inst.graph
 
 
 def _cycle_join_clique(k: int) -> SteinerInstance:
